@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NumericalError
 
 PIVOT_EPS = 1e-10
 
@@ -31,10 +31,20 @@ class SimplexResult:
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0.0:
-            T[r] -= T[r, col] * T[row]
+    # rows with a zero in the pivot column are left exactly as they are
+    rows = np.flatnonzero(np.abs(T[:, col]) > 0.0)
+    rows = rows[rows != row]
+    T[rows] -= T[rows, col][:, None] * T[row]
     basis[row] = col
+
+
+def _phase1_costs(T: np.ndarray, basis: list[int], n: int) -> None:
+    """Phase-1 reduced-cost row (sum of artificials) for the current basis."""
+    T[-1] = 0.0
+    T[-1, n:-1] = 1.0
+    for i, bi in enumerate(basis):
+        if bi >= n:
+            T[-1] -= T[i]
 
 
 def _run_phase(T: np.ndarray, basis: list[int], ncols: int, max_pivots: int) -> str:
@@ -88,11 +98,16 @@ def simplex(
     T[:m, :n] = A
     T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
-    T[-1, n : n + m] = 1.0
     basis = list(range(n, n + m))
-    for i in range(m):  # reduce objective row against the artificial basis
-        T[-1] -= T[i]
+    _phase1_costs(T, basis, n)
     status = _run_phase(T, basis, n + m, max_pivots)
+    if status == "unbounded":
+        # phase 1 is bounded below by 0, so its cost row has drifted from
+        # the tableau: rebuild it from the current basis and resume
+        _phase1_costs(T, basis, n)
+        status = _run_phase(T, basis, n + m, max_pivots)
+        if status == "unbounded":
+            raise NumericalError("simplex phase 1 reported an unbounded ray")
     if status != "optimal" or T[-1, -1] < -1e-7:
         return SimplexResult("infeasible", np.zeros(n), np.inf, basis)
 
@@ -176,6 +191,6 @@ def max_margin(
     c[2 * k + 1] = 1.0
     res = simplex(c, A, b)
     if res.status != "optimal":  # cannot happen: feasible and bounded
-        raise RuntimeError(f"margin subproblem returned {res.status}")
+        raise NumericalError(f"margin subproblem returned {res.status}")
     theta = res.x[:k] - res.x[k : 2 * k]
     return -res.objective, theta

@@ -23,6 +23,7 @@ from .model import (
     ParticleNetwork,
     RadonMeasure,
     merge_identical_rays,
+    sphere_atoms,
 )
 
 # clustering tolerances: trained networks carry optimization noise,
@@ -97,15 +98,7 @@ def _ray_table(obj) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
         z = obj.masses.copy()
         members = [[i] for i in range(obj.k)]
     elif isinstance(obj, AtomicMeasure):
-        thetas = obj.thetas
-        norms = np.linalg.norm(thetas, axis=1)
-        if np.any((norms <= 1e-15) & (obj.c != 0.0) & (obj.p > 0.0)):
-            raise ZeroDirectionError(
-                "atom with zero inner direction and nonzero outer weight"
-            )
-        keep = np.flatnonzero((obj.c != 0.0) & (obj.p > 0.0) & (norms > 1e-15))
-        dirs = thetas[keep] / norms[keep][:, None]
-        z = obj.p[keep] * obj.c[keep] * norms[keep]
+        keep, dirs, z = sphere_atoms(obj)
         members = [[int(i)] for i in keep]
     else:
         raise PreconditionError(f"unsupported input type {type(obj).__name__}")

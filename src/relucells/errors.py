@@ -25,6 +25,10 @@ class ConvergenceError(ReluCellsError):
     """An iterative method failed to converge within its budget."""
 
 
+class NumericalError(ReluCellsError):
+    """A numerical kernel lost the accuracy its result depends on."""
+
+
 class CellLookupError(ReluCellsError):
     """A sign pattern could not be resolved to an enumerated cell."""
 

@@ -336,25 +336,34 @@ def merge_identical_rays(dirs: np.ndarray, masses: np.ndarray):
     return np.flatnonzero(rep == np.arange(k)), summed, rep
 
 
-def project_to_sphere(mu: AtomicMeasure) -> RadonMeasure:
-    """Push the lifted measure to the sphere: (a, b, c, p) -> (theta/||theta||, p c ||theta||).
+def sphere_atoms(mu: AtomicMeasure):
+    """Push each atom to the sphere: (a, b, c, p) -> (theta/||theta||, p c ||theta||).
 
-    Atoms with c = 0 are dropped; a zero inner direction with c != 0 has no
-    sphere image and is rejected. Atoms whose directions coincide within
-    DIRECTION_MERGE_TOL merge by summing signed masses. Predictions are
-    preserved exactly by 1-homogeneity of relu.
+    Atoms with c = 0 or p = 0 are dropped; a zero inner direction with
+    c != 0 has no sphere image and is rejected. Returns (keep, dirs, z):
+    the indices of the kept atoms, their unit directions and signed masses.
     """
     thetas = mu.thetas
     norms = np.linalg.norm(thetas, axis=1)
-    bad = (norms <= 1e-15) & (mu.c != 0.0) & (mu.p > 0.0)
-    if np.any(bad):
+    live = (mu.c != 0.0) & (mu.p > 0.0)
+    if np.any(live & (norms <= 1e-15)):
         raise ZeroDirectionError(
             "atom with zero inner direction and nonzero outer weight"
         )
-    keep = (mu.c != 0.0) & (norms > 1e-15) & (mu.p > 0.0)
-    if not np.any(keep):
-        return RadonMeasure.empty(mu.d)
-    dirs = thetas[keep] / norms[keep][:, None]
+    keep = np.flatnonzero(live & (norms > 1e-15))
     z = mu.p[keep] * mu.c[keep] * norms[keep]
+    return keep, thetas[keep] / norms[keep][:, None], z
+
+
+def project_to_sphere(mu: AtomicMeasure) -> RadonMeasure:
+    """Push the lifted measure to the sphere (see sphere_atoms).
+
+    Atoms whose directions coincide within DIRECTION_MERGE_TOL merge by
+    summing signed masses. Predictions are preserved exactly by
+    1-homogeneity of relu.
+    """
+    keep, dirs, z = sphere_atoms(mu)
+    if not keep.size:
+        return RadonMeasure.empty(mu.d)
     heads, summed, _ = merge_identical_rays(dirs, z)
     return RadonMeasure(dirs[heads], summed[heads])

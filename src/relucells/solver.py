@@ -12,9 +12,10 @@ constraints, and minimisers put a single effective atom per cell, so
 
 is an exact finite reformulation. g_s is the per-cell gauge of the chosen
 potential. The constrained problem is solved by product-space
-Douglas-Rachford splitting (gauge prox / affine projection / Dykstra cone
-projection); the penalized variant swaps the affine projection for a
-gradient step on the squared loss (Davis-Yin three-operator splitting).
+Douglas-Rachford splitting (gauge prox / affine projection / cone
+projection, in closed form on the d = 1 sectors and by Dykstra otherwise);
+the penalized variant swaps the affine projection for a gradient step on
+the squared loss (Davis-Yin three-operator splitting).
 
 The module also exposes the l1 linear program over fixed sphere
 directions, solved with the in-house simplex so that basic solutions give
@@ -36,20 +37,23 @@ from .potentials import PotentialKind, cell_gauge, weight
 
 ATOM_EPS_REL = 1e-6
 
+# Stopping rule: the primal residual (constrained) or the scaled prox gap
+# (penalized) is below TOL_FEAS, and the objective moved by at most TOL_OBJ
+# (relative) over the last OBJ_WINDOW iterations, looked at every
+# CHECK_EVERY iterations.
+TOL_FEAS = 1e-7
+TOL_OBJ = 1e-9
+OBJ_WINDOW = 100
+CHECK_EVERY = 10
+STEP = 1.0  # gauge prox step of the constrained splitting
+RELAX = 0.85  # 0.5 is plain Douglas-Rachford
+DYKSTRA_TOL = 1e-10
+DYKSTRA_MAX_CYCLES = 500
+
 
 @dataclass
 class SolverConfig:
     max_iters: int = 300_000
-    tol_feas: float = 1e-7
-    tol_obj: float = 1e-9
-    obj_window: int = 100
-    step: float = 1.0
-    relax: float = 0.85  # 0.5 is plain Douglas-Rachford
-    balance_every: int = 50
-    balance_until: int = 0  # step-balancing heuristic disabled by default
-    dykstra_tol: float = 1e-10
-    dykstra_max_cycles: int = 500
-    check_every: int = 10
     init_scale: float = 0.0
     seed: int = 0
 
@@ -67,6 +71,8 @@ class FiniteProgram:
     y: np.ndarray
     signs: np.ndarray = field(repr=False)  # (2K, n) cone signs per block
     normals: np.ndarray = field(repr=False)  # (n, k) unit hyperplane normals
+    # d = 1 only: (edges, inward edge normals), each (2K, 2, 2)
+    sectors: tuple | None = field(repr=False)
 
     @property
     def k(self) -> int:
@@ -104,9 +110,15 @@ def build_program(
         [decomp.cells[ci].signs for ci in used] * 2, dtype=float
     ).reshape(2 * K, n)
     normals = lifted / np.linalg.norm(lifted, axis=1)[:, None]
+    sectors = None
+    if k == 2:
+        witnesses = np.array(
+            [decomp.cells[ci].witness for ci in used] * 2, dtype=float
+        ).reshape(2 * K, k)
+        sectors = _sector_geometry(signs, normals, witnesses)
     return FiniteProgram(
         dataset, decomp, kind, mode, lam, used, gauges, A,
-        dataset.targets.copy(), signs, normals,
+        dataset.targets.copy(), signs, normals, sectors,
     )
 
 
@@ -209,18 +221,11 @@ def project_cones(
     W: np.ndarray,
     signs: np.ndarray,
     normals: np.ndarray,
-    tol: float = 1e-10,
-    max_cycles: int = 500,
-    witnesses: np.ndarray | None = None,
+    tol: float = DYKSTRA_TOL,
+    max_cycles: int = DYKSTRA_MAX_CYCLES,
 ) -> np.ndarray:
-    """Euclidean projection of each block row onto its cell cone.
-
-    Planar cones (d = 1) are sectors and admit an exact closed form when
-    an interior witness per block is supplied; otherwise Dykstra cyclic
-    half-space projections are used.
-    """
-    if normals.shape[1] == 2 and witnesses is not None:
-        return _project_sectors(W, _sector_edges(signs, normals, witnesses))
+    """Euclidean projection of each block row onto its cell cone by Dykstra
+    cyclic half-space projections."""
     X = W.copy()
     n = normals.shape[0]
     C = np.zeros((X.shape[0], n, X.shape[1]))
@@ -238,37 +243,43 @@ def project_cones(
     return X
 
 
-def _sector_edges(
+def _sector_geometry(
     signs: np.ndarray, normals: np.ndarray, witnesses: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Boundary rays of the planar cones {v : signs_i <v, n_i> >= 0}.
 
-    Returns (B, 2, 2): two unit edge vectors per block. Each half-plane
-    constrains the direction angle to an arc of width pi around the angle
-    of its signed normal; measured from an interior witness all offsets
-    are below pi/2 in magnitude, so the arcs intersect without wraparound.
+    Returns (edges, inward), each (B, 2, 2): two unit edge vectors per
+    block and each edge rotated a quarter turn into the cone. Each
+    half-plane constrains the direction angle to an arc of width pi around
+    the angle of its signed normal; measured from an interior witness all
+    offsets are below pi/2 in magnitude, so the arcs intersect without
+    wraparound.
     """
     gam = np.arctan2(signs * normals[None, :, 1], signs * normals[None, :, 0])
     ref = np.arctan2(witnesses[:, 1], witnesses[:, 0])[:, None]
     delta = np.angle(np.exp(1j * (gam - ref)))
     lo = ref[:, 0] + np.max(delta, axis=1) - np.pi / 2
     hi = ref[:, 0] + np.min(delta, axis=1) + np.pi / 2
-    return np.stack(
+    e1 = np.stack([np.cos(lo), np.sin(lo)], axis=1)
+    e2 = np.stack([np.cos(hi), np.sin(hi)], axis=1)
+    edges = np.stack([e1, e2], axis=1)
+    inward = np.stack(
         [
-            np.stack([np.cos(lo), np.sin(lo)], axis=1),
-            np.stack([np.cos(hi), np.sin(hi)], axis=1),
+            np.stack([-e1[:, 1], e1[:, 0]], axis=1),
+            np.stack([e2[:, 1], -e2[:, 0]], axis=1),
         ],
         axis=1,
     )
+    return edges, inward
 
 
-def _project_sectors(W: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _project_sectors(
+    W: np.ndarray, edges: np.ndarray, inward: np.ndarray
+) -> np.ndarray:
     e1, e2 = edges[:, 0], edges[:, 1]
-    # interior iff on the positive side of both (inward-rotated) edges
-    n1 = np.stack([-e1[:, 1], e1[:, 0]], axis=1)
-    n2 = np.stack([e2[:, 1], -e2[:, 0]], axis=1)
-    inside = (np.einsum("bk,bk->b", W, n1) >= 0.0) & (
-        np.einsum("bk,bk->b", W, n2) >= 0.0
+    # interior iff on the positive side of both inward edge normals
+    inside = (np.einsum("bk,bk->b", W, inward[:, 0]) >= 0.0) & (
+        np.einsum("bk,bk->b", W, inward[:, 1]) >= 0.0
     )
     p1 = np.maximum(np.einsum("bk,bk->b", W, e1), 0.0)[:, None] * e1
     p2 = np.maximum(np.einsum("bk,bk->b", W, e2), 0.0)[:, None] * e2
@@ -289,22 +300,15 @@ def _split(program: FiniteProgram, w: np.ndarray) -> np.ndarray:
     return w.reshape(program.n_blocks, program.k)
 
 
-def _block_witnesses(program: FiniteProgram) -> np.ndarray:
-    wits = [program.decomposition.cells[ci].witness for ci in program.cells_used]
-    return np.array(wits * 2)
-
-
-def _cone_projector(program: FiniteProgram, config: SolverConfig):
-    """Block-row cone projection with the planar fast path precomputed."""
-    if program.k == 2:
-        edges = _sector_edges(
-            program.signs, program.normals, _block_witnesses(program)
-        )
-        return lambda W: _project_sectors(W, edges)
-    signs, normals = program.signs, program.normals
-    return lambda W: project_cones(
-        W, signs, normals, config.dykstra_tol, config.dykstra_max_cycles
-    )
+def _project_blocks(
+    program: FiniteProgram, W: np.ndarray, blocks: slice = slice(None)
+) -> np.ndarray:
+    """Project the rows of W onto the cones of the given blocks: in closed
+    form on the sectors at d = 1, by Dykstra otherwise."""
+    if program.sectors is not None:
+        edges, inward = program.sectors
+        return _project_sectors(W, edges[blocks], inward[blocks])
+    return project_cones(W, program.signs[blocks], program.normals)
 
 
 def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solution:
@@ -312,7 +316,7 @@ def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solutio
     config = config or SolverConfig()
     if program.n_blocks == 0:
         # no cell sees any datapoint; only y = 0 is representable
-        if np.max(np.abs(program.y)) > config.tol_feas:
+        if np.max(np.abs(program.y)) > TOL_FEAS:
             raise InfeasibleError("no active cells but nonzero targets")
         z = np.zeros((0, program.k))
         return Solution(z, z, (), 0.0, 0.0, 0, True, program.mode,
@@ -328,6 +332,16 @@ def _initial(program: FiniteProgram, config: SolverConfig) -> np.ndarray:
         return np.zeros(dim)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x501E]))
     return config.init_scale * rng.standard_normal(dim)
+
+
+def _objective_settled(obj_hist: list[float]) -> bool:
+    """The objective moved by at most TOL_OBJ (relative) over the last
+    OBJ_WINDOW iterations."""
+    lag = OBJ_WINDOW // CHECK_EVERY
+    if len(obj_hist) <= lag:
+        return False
+    ref = obj_hist[-lag - 1]
+    return abs(obj_hist[-1] - ref) <= TOL_OBJ * max(1.0, abs(ref))
 
 
 def _solve_constrained(program: FiniteProgram, config: SolverConfig) -> Solution:
@@ -348,16 +362,12 @@ def _solve_constrained(program: FiniteProgram, config: SolverConfig) -> Solution
         return w - M @ (A @ w - y)
 
     prox_g = _GaugeProx(program.gauges)
-    proj_blocks = _cone_projector(program, config)
-
-    def proj_cone(w):
-        return proj_blocks(_split(program, w)).ravel()
 
     w0 = _initial(program, config)
     z1 = w0.copy()
     z2 = w0.copy()
     z3 = w0.copy()
-    t = config.step
+    r = 2.0 * RELAX
     yscale = 1.0 + float(np.linalg.norm(y))
 
     obj_hist: list[float] = []
@@ -366,48 +376,31 @@ def _solve_constrained(program: FiniteProgram, config: SolverConfig) -> Solution
     converged = False
     while it < config.max_iters:
         it += 1
-        x1 = prox_g.prox(_split(program, z1), t).ravel()
+        x1 = prox_g.prox(_split(program, z1), STEP).ravel()
         x2 = proj_affine(z2)
-        x3 = proj_cone(z3)
+        x3 = _project_blocks(program, _split(program, z3)).ravel()
         # relaxed product-space Douglas-Rachford step
         m = (2.0 * (x1 + x2 + x3) - (z1 + z2 + z3)) / 3.0
-        r = 2.0 * config.relax
         z1 += r * (m - x1)
         z2 += r * (m - x2)
         z3 += r * (m - x3)
 
-        if it % config.check_every == 0 or it == config.max_iters:
-            W3 = _split(program, x3)
-            obj = prox_g.value(W3)
+        if it % CHECK_EVERY == 0 or it == config.max_iters:
+            obj = prox_g.value(_split(program, x3))
             res = float(np.linalg.norm(A @ x3 - y)) / yscale
-            gap13 = float(np.max(np.abs(x1 - x3))) / (1.0 + float(np.max(np.abs(x3))))
             obj_hist.append(obj)
             if best is None or (res, obj) < best[:2]:
-                best = (res, obj, x3.copy(), it)
-            lag = config.obj_window // config.check_every
-            if len(obj_hist) > lag and res < config.tol_feas:
-                ref = obj_hist[-lag - 1]
-                if abs(obj - ref) <= config.tol_obj * max(1.0, abs(ref)):
-                    converged = True
-                    best = (res, obj, x3.copy(), it)
-                    break
-        if (
-            it <= config.balance_until
-            and it % config.balance_every == 0
-            and obj_hist
-        ):
-            res = float(np.linalg.norm(A @ x3 - y)) / yscale
-            dis = float(np.linalg.norm(x1 - x3)) / (1.0 + float(np.linalg.norm(x3)))
-            if res > 10.0 * dis and t > 1e-6:
-                t *= 0.5
-            elif dis > 10.0 * res and t < 1e6:
-                t *= 2.0
+                best = (res, obj, x3.copy())
+            if res < TOL_FEAS and _objective_settled(obj_hist):
+                converged = True
+                best = (res, obj, x3.copy())
+                break
 
-    res, obj, x, used_it = best
+    res, obj, x = best
     W = _split(program, x)
     K = len(program.cells_used)
     diag = {
-        "step": t,
+        "step": STEP,
         "cone_violation": cone_violation(W, program.signs, program.normals),
         "objective_checks": len(obj_hist),
     }
@@ -424,7 +417,6 @@ def _solve_penalized(program: FiniteProgram, config: SolverConfig) -> Solution:
     L = float(np.linalg.norm(A, 2) ** 2) / n
     t = 1.0 / max(L, 1e-12)
     prox_g = _GaugeProx(program.gauges)
-    proj_blocks = _cone_projector(program, config)
 
     def grad_h(w):
         return A.T @ (A @ w - y) / n
@@ -436,24 +428,20 @@ def _solve_penalized(program: FiniteProgram, config: SolverConfig) -> Solution:
     xB = z.copy()
     while it < config.max_iters:
         it += 1
-        xB = proj_blocks(_split(program, z)).ravel()
+        xB = _project_blocks(program, _split(program, z)).ravel()
         xA = prox_g.prox(
             _split(program, 2.0 * xB - z - t * grad_h(xB)), t * lam
         ).ravel()
         z += xA - xB
 
-        if it % config.check_every == 0 or it == config.max_iters:
+        if it % CHECK_EVERY == 0 or it == config.max_iters:
             data = 0.5 * float(np.sum((A @ xB - y) ** 2)) / n
             reg = prox_g.value(_split(program, xB))
-            obj = data + lam * reg
-            obj_hist.append(obj)
+            obj_hist.append(data + lam * reg)
             gap = float(np.linalg.norm(xA - xB)) / (t * (1.0 + np.linalg.norm(xB)))
-            lag = config.obj_window // config.check_every
-            if len(obj_hist) > lag and gap < config.tol_feas:
-                ref = obj_hist[-lag - 1]
-                if abs(obj - ref) <= config.tol_obj * max(1.0, abs(ref)):
-                    converged = True
-                    break
+            if gap < TOL_FEAS and _objective_settled(obj_hist):
+                converged = True
+                break
 
     W = _split(program, xB)
     K = len(program.cells_used)
@@ -472,12 +460,14 @@ def _solve_penalized(program: FiniteProgram, config: SolverConfig) -> Solution:
     )
 
 
-def extract_radon(
-    program: FiniteProgram, solution: Solution, atom_eps: float | None = None
-) -> RadonMeasure:
+def _atom_eps(solution: Solution) -> float:
+    """Norm below which a block carries no atom."""
+    return ATOM_EPS_REL * max(1.0, abs(solution.objective))
+
+
+def extract_radon(program: FiniteProgram, solution: Solution) -> RadonMeasure:
     """Read off the sphere atoms: u_s -> (+||u_s||, u_s/||u_s||), v_s negated."""
-    if atom_eps is None:
-        atom_eps = ATOM_EPS_REL * max(1.0, abs(solution.objective))
+    atom_eps = _atom_eps(solution)
     dirs, masses = [], []
     for u_s, v_s in zip(solution.u, solution.v):
         nu, nv = np.linalg.norm(u_s), np.linalg.norm(v_s)
@@ -560,16 +550,7 @@ def lp_l1(instance: LPInstance) -> tuple[np.ndarray, np.ndarray, float]:
     return z, support, obj
 
 
-def feasibility_lp(
-    rows: np.ndarray, signs: np.ndarray, box: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """Margin maximization shared with the arrangement builder."""
-    return _simplex.max_margin(rows, signs, box)
-
-
-def optimality_certificate(
-    program: FiniteProgram, solution: Solution, atom_eps: float | None = None
-) -> dict:
+def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
     """Diagnostic KKT check: gauge-subdifferential alignment on active blocks
     and cone-restricted dual-gauge bound on inactive ones.
 
@@ -578,26 +559,15 @@ def optimality_certificate(
     normal-cone coefficient per touched edge; those coefficients enter the
     fit as unknowns and their most negative value is reported.
     """
-    if atom_eps is None:
-        atom_eps = ATOM_EPS_REL * max(1.0, abs(solution.objective))
+    atom_eps = _atom_eps(solution)
     k = program.k
     K = len(program.cells_used)
     W = np.vstack([solution.u, solution.v]) if K else np.zeros((0, k))
     lam_pen = program.lam if program.mode == "penalized" else 1.0
 
     out_normals: dict[int, np.ndarray] = {}
-    if k == 2 and K:
-        edges = _sector_edges(
-            program.signs, program.normals, _block_witnesses(program)
-        )
-        e1, e2 = edges[:, 0], edges[:, 1]
-        inward = np.stack(
-            [
-                np.stack([-e1[:, 1], e1[:, 0]], axis=1),
-                np.stack([e2[:, 1], -e2[:, 0]], axis=1),
-            ],
-            axis=1,
-        )
+    if program.sectors is not None:
+        inward = program.sectors[1]
         for blk in range(2 * K):
             x = W[blk]
             scale = max(1.0, float(np.linalg.norm(x)))
@@ -668,10 +638,7 @@ def optimality_certificate(
         Ablk = program.A[:, blk * k : (blk + 1) * k]
         q = Ablk.T @ mult
         # support of q over the cone intersected with the unit gauge ball
-        qc = project_cones(
-            q[None, :], program.signs[blk : blk + 1], program.normals,
-            witnesses=_block_witnesses(program)[blk : blk + 1],
-        )[0]
+        qc = _project_blocks(program, q[None, :], slice(blk, blk + 1))[0]
         nq = np.linalg.norm(qc)
         if nq > 1e-12:
             v = qc / nq  # exact maximizer direction for the TV gauge

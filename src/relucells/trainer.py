@@ -69,7 +69,7 @@ class TrainTrace:
     steps: np.ndarray
     loss: np.ndarray  # noise-free train loss (1/n) sum 1/2 (f - y)^2
     lam_value: np.ndarray  # implicit regulariser Lambda
-    reg_value: np.ndarray  # explicit decay term (lam/m) sum V
+    reg_value: np.ndarray  # explicit decay term (lam/m) sum V; 0 for label noise
     support: np.ndarray  # ray count of the current network
     grad_norm: np.ndarray  # full-batch objective gradient norm
     interpolation_step: int | None = field(default=None)
@@ -206,14 +206,8 @@ def _streams(seed: int):
     )
 
 
-def _record(trace_rows, step, net, dataset, config, loss, gnorm):
+def _record(trace_rows, step, net, dataset, loss, reg, gnorm):
     lam_val = implicit_lambda(net, dataset)
-    if config.decay > 0.0:
-        reg = config.decay / net.m * _decay_value_grads(
-            net.A, net.b, net.c, config.decay_potential
-        )[0]
-    else:
-        reg = 0.0
     supp = support_count(net)
     trace_rows.append((step, loss, lam_val, reg, supp, gnorm))
 
@@ -267,7 +261,7 @@ def gd_weight_decay(
             gnorm = float(
                 np.sqrt(np.sum(gA**2) + np.sum(gb**2) + np.sum(gc**2))
             )
-            _record(trace_rows, step, net, dataset, config, loss, gnorm)
+            _record(trace_rows, step, net, dataset, loss, reg, gnorm)
         if step == config.steps:
             break
         A = A - eps * gA
@@ -326,7 +320,7 @@ def sgd_label_noise(
     for step in range(config.steps + 1):
         if step % config.record_stride == 0 or step == config.steps:
             # decay stripped so recorded gradients are pure data gradients
-            loss, _, gA, gb, gc = _loss_and_grads(
+            loss, reg, gA, gb, gc = _loss_and_grads(
                 A, b, c, X, y, 0.0, config.decay_potential
             )
             if initial_loss is None:
@@ -336,7 +330,7 @@ def sgd_label_noise(
                 np.sqrt(np.sum(gA**2) + np.sum(gb**2) + np.sum(gc**2))
             )
             _record(trace_rows, step, ParticleNetwork(A, b, c), dataset,
-                    config, loss, gnorm)
+                    loss, reg, gnorm)
         if step == config.steps:
             break
 

@@ -147,7 +147,7 @@ def sgd_label_noise_reference(dataset, config):
     for step in range(config.steps + 1):
         net = ParticleNetwork(A, b, c)
         if step % config.record_stride == 0 or step == config.steps:
-            _, loss, _, gA, gb, gc = objective_and_grads(
+            _, loss, reg, gA, gb, gc = objective_and_grads(
                 net, dataset, noise_cfg
             )
             if initial_loss is None:
@@ -156,7 +156,7 @@ def sgd_label_noise_reference(dataset, config):
             gnorm = float(
                 np.sqrt(np.sum(gA**2) + np.sum(gb**2) + np.sum(gc**2))
             )
-            _record(trace_rows, step, net, dataset, config, loss, gnorm)
+            _record(trace_rows, step, net, dataset, loss, reg, gnorm)
         if step == config.steps:
             break
 

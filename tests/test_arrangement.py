@@ -36,6 +36,15 @@ def test_enumerate_matches_formula():
             assert dec.generic
 
 
+def test_enumerate_survives_drifted_phase1_costs():
+    # the simplex's phase-1 cost row drifts far enough on this dataset to
+    # report a phase-1 LP as unbounded; it is rebuilt from the basis instead
+    rng = np.random.default_rng([32, 9])
+    ds = Dataset(rng.normal(size=(16, 1)), rng.normal(size=16))
+    dec = enumerate_cells(ds)
+    assert dec.size == expected_cell_count(16, 1)
+
+
 def test_witness_interior_and_margin(dec3, ds3):
     for cell in dec3.cells:
         vals = np.array(cell.signs) * (ds3.lifted @ cell.witness)

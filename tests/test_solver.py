@@ -13,7 +13,6 @@ from relucells.solver import (
     build_program,
     cone_violation,
     extract_radon,
-    feasibility_lp,
     lp_l1,
     optimality_certificate,
     project_cones,
@@ -119,13 +118,10 @@ def test_infeasible_without_active_cells():
 def test_cone_projection_matches_dykstra(dec3, ds3):
     rng = np.random.default_rng(5)
     prog = build_program(ds3, dec3, PotentialKind.tv())
-    from relucells.solver import _block_witnesses
+    from relucells.solver import _project_blocks
 
     W = rng.normal(size=(prog.n_blocks, 2)) * 3.0
-    exact = project_cones(
-        W, prog.signs, prog.normals,
-        witnesses=_block_witnesses(prog),
-    )
+    exact = _project_blocks(prog, W)
     dykstra = project_cones(W, prog.signs, prog.normals, tol=1e-14,
                             max_cycles=5_000)
     assert exact == pytest.approx(dykstra, abs=1e-10)
@@ -158,11 +154,6 @@ def test_lp_l1_reproduces_solver_objective(ds3, dec3):
     z, support, obj = lp_l1(inst)
     assert obj == pytest.approx(sol.objective, rel=1e-6)
     assert len(support) <= ds3.n
-
-
-def test_feasibility_lp_reexport():
-    t, theta = feasibility_lp(np.array([[1.0, 0.0]]), np.array([1.0]))
-    assert t == pytest.approx(1.0)
 
 
 def test_optimality_certificate(ds3, dec3):

@@ -174,6 +174,17 @@ def test_sgd_recorded_loss_is_noise_free(ds2):
     assert trace.loss[0] == pytest.approx(trace.loss[-1], rel=1e-6)
 
 
+def test_sgd_records_no_decay_term(ds2):
+    # label-noise SGD never applies the decay, so it records none either
+    base = dict(width=8, steps=300, step_size=0.05, noise=0.1, seed=4,
+                record_stride=50)
+    net0, _ = sgd_label_noise(ds2, TrainConfig(**base))
+    net1, trace = sgd_label_noise(ds2, TrainConfig(decay=0.5, **base))
+    assert np.all(trace.reg_value == 0.0)
+    for name in ("A", "b", "c"):
+        assert np.array_equal(getattr(net1, name), getattr(net0, name))
+
+
 @pytest.mark.parametrize("noise_dist", ["rademacher", "gaussian"])
 @pytest.mark.parametrize(
     "steps, stride", [(40, 1), (500, 7), (300, 1_000)],
