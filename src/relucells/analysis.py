@@ -22,6 +22,7 @@ from .model import (
     AtomicMeasure,
     ParticleNetwork,
     RadonMeasure,
+    angle,
     merge_identical_rays,
     sphere_atoms,
 )
@@ -263,9 +264,7 @@ def compare_supports(s1: EffectiveSupport, s2: EffectiveSupport) -> dict:
             best = None
             for i, g1 in enumerate(g1s):
                 for j, g2 in enumerate(g2s):
-                    ang = float(
-                        np.arccos(np.clip(g1.direction @ g2.direction, -1.0, 1.0))
-                    )
+                    ang = float(angle(g1.direction, g2.direction))
                     if best is None or ang < best[0]:
                         best = (ang, i, j)
             ang, i, j = best

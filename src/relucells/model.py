@@ -307,14 +307,26 @@ def predict_radon(nu: RadonMeasure, x) -> np.ndarray:
     return relu(lifted @ nu.directions.T) @ nu.masses
 
 
+def angle(U, V) -> np.ndarray:
+    """Angles between unit vectors, row by row: 2 atan2(|u - v|, |u + v|).
+
+    Unlike arccos(u . v), which cannot resolve angles below about 1.5e-8,
+    this is accurate down to 0 (exact duplicates give exactly 0).
+    """
+    U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+    return 2.0 * np.arctan2(
+        np.linalg.norm(U - V, axis=-1), np.linalg.norm(U + V, axis=-1)
+    )
+
+
 def merge_identical_rays(dirs: np.ndarray, masses: np.ndarray):
     """Merge unit directions that coincide within DIRECTION_MERGE_TOL.
 
     Greedy first match in input order: each direction joins the first
-    earlier kept direction u with arccos(clip(u @ v)) < DIRECTION_MERGE_TOL,
-    else it is kept. One Gram-matrix pass shortlists candidate pairs and the
-    scalar test confirms each, so rounding in the matrix product cannot
-    change which rays merge.
+    earlier kept direction u with angle(u, v) < DIRECTION_MERGE_TOL, else it
+    is kept. One Gram-matrix pass shortlists candidate pairs and angle()
+    confirms each, so rounding in the matrix product cannot change which
+    rays merge.
 
     Returns (heads, summed, rep): indices of the kept directions, masses
     summed in input order (read at heads), and for every direction the index
@@ -328,9 +340,9 @@ def merge_identical_rays(dirs: np.ndarray, masses: np.ndarray):
             dirs @ dirs.T >= np.cos(DIRECTION_MERGE_TOL) - _GRAM_SLACK, 1
         )
         later, earlier = np.nonzero(near.T)  # j ascending, then i ascending
-        for j, i in zip(later.tolist(), earlier.tolist()):
-            if (rep[j] == j and rep[i] == i and np.arccos(
-                    np.clip(dirs[i] @ dirs[j], -1.0, 1.0)) < DIRECTION_MERGE_TOL):
+        close = angle(dirs[earlier], dirs[later]) < DIRECTION_MERGE_TOL
+        for j, i in zip(later[close].tolist(), earlier[close].tolist()):
+            if rep[j] == j and rep[i] == i:
                 rep[j] = i
                 summed[i] += summed[j]
     return np.flatnonzero(rep == np.arange(k)), summed, rep

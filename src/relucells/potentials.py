@@ -24,7 +24,7 @@ import numpy as np
 
 from .arrangement import CellDecomposition
 from .errors import PreconditionError
-from .model import Dataset, Neuron, relu
+from .model import Dataset, Neuron, angle, relu
 
 # equality-vs-strict threshold in the convexity classifier
 CONVEXITY_EQ_TOL = 1e-10
@@ -176,8 +176,7 @@ def _proportional(theta: np.ndarray, theta_p: np.ndarray) -> bool:
     n2 = np.linalg.norm(theta_p)
     if n1 == 0.0 or n2 == 0.0:
         return True
-    cosang = np.clip((theta @ theta_p) / (n1 * n2), -1.0, 1.0)
-    return float(np.arccos(cosang)) < PROPORTIONAL_TOL
+    return float(angle(theta / n1, theta_p / n2)) < PROPORTIONAL_TOL
 
 
 def effective_convexity_test(

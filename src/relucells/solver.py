@@ -13,9 +13,13 @@ constraints, and minimisers put a single effective atom per cell, so
 is an exact finite reformulation. g_s is the per-cell gauge of the chosen
 potential. The constrained problem is solved by product-space
 Douglas-Rachford splitting (gauge prox / affine projection / cone
-projection, in closed form on the d = 1 sectors and by Dykstra otherwise);
-the penalized variant swaps the affine projection for a gradient step on
-the squared loss (Davis-Yin three-operator splitting).
+projection); the penalized variant swaps the affine projection for a
+gradient step on the squared loss (Davis-Yin three-operator splitting).
+The cone projection is exact in every dimension: the projection onto a
+polyhedral cone is the orthogonal projection onto the span of one of its
+faces, so it is the nearest in-cone point among the projections onto the
+spans {v : <v, n_i> = 0, i in S} for sets S of at most d walls of the
+cell, or the origin.
 
 The module also exposes the l1 linear program over fixed sphere
 directions, solved with the in-house simplex so that basic solutions give
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -47,8 +52,6 @@ OBJ_WINDOW = 100
 CHECK_EVERY = 10
 STEP = 1.0  # gauge prox step of the constrained splitting
 RELAX = 0.85  # 0.5 is plain Douglas-Rachford
-DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_CYCLES = 500
 
 
 @dataclass
@@ -71,8 +74,8 @@ class FiniteProgram:
     y: np.ndarray
     signs: np.ndarray = field(repr=False)  # (2K, n) cone signs per block
     normals: np.ndarray = field(repr=False)  # (n, k) unit hyperplane normals
-    # d = 1 only: (edges, inward edge normals), each (2K, 2, 2)
-    sectors: tuple | None = field(repr=False)
+    walls: np.ndarray = field(repr=False)  # (2K, w, k) see cone_faces
+    faces: np.ndarray = field(repr=False)  # (2K, F, k, k) see cone_faces
 
     @property
     def k(self) -> int:
@@ -110,15 +113,11 @@ def build_program(
         [decomp.cells[ci].signs for ci in used] * 2, dtype=float
     ).reshape(2 * K, n)
     normals = lifted / np.linalg.norm(lifted, axis=1)[:, None]
-    sectors = None
-    if k == 2:
-        witnesses = np.array(
-            [decomp.cells[ci].witness for ci in used] * 2, dtype=float
-        ).reshape(2 * K, k)
-        sectors = _sector_geometry(signs, normals, witnesses)
+    walls, faces = cone_faces(decomp, used, normals)
     return FiniteProgram(
         dataset, decomp, kind, mode, lam, used, gauges, A,
-        dataset.targets.copy(), signs, normals, sectors,
+        dataset.targets.copy(), signs, normals, np.concatenate([walls, walls]),
+        np.concatenate([faces, faces]),
     )
 
 
@@ -217,76 +216,67 @@ class _GaugeProx:
         return np.einsum("bkj,bj->bk", self.evecs, xi)
 
 
-def project_cones(
-    W: np.ndarray,
-    signs: np.ndarray,
-    normals: np.ndarray,
-    tol: float = DYKSTRA_TOL,
-    max_cycles: int = DYKSTRA_MAX_CYCLES,
-) -> np.ndarray:
-    """Euclidean projection of each block row onto its cell cone by Dykstra
-    cyclic half-space projections."""
-    X = W.copy()
-    n = normals.shape[0]
-    C = np.zeros((X.shape[0], n, X.shape[1]))
-    for _ in range(max_cycles):
-        start = X
-        for i in range(n):
-            V = X + C[:, i]
-            alpha = signs[:, i] * (V @ normals[i])
-            viol = np.minimum(alpha, 0.0)
-            Xn = V - (viol * signs[:, i])[:, None] * normals[i]
-            C[:, i] = V - Xn
-            X = Xn
-        if np.max(np.abs(X - start)) <= tol * (1.0 + np.max(np.abs(X))):
-            break
-    return X
-
-
-def _sector_geometry(
-    signs: np.ndarray, normals: np.ndarray, witnesses: np.ndarray
+def cone_faces(
+    decomp: CellDecomposition, used: tuple, normals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary rays of the planar cones {v : signs_i <v, n_i> >= 0}.
+    """Walls and face projectors of the cones of the given cells.
 
-    Returns (edges, inward), each (B, 2, 2): two unit edge vectors per
-    block and each edge rotated a quarter turn into the cone. Each
-    half-plane constrains the direction angle to an arc of width pi around
-    the angle of its signed normal; measured from an interior witness all
-    offsets are below pi/2 in magnitude, so the arcs intersect without
-    wraparound.
+    Hyperplane i is a wall of a cell when flipping its sign (and that of
+    any copy of it) gives another cell. For each cell, walls holds the
+    inward normals s_i n_i of its walls, and faces the orthogonal
+    projectors onto {v : <v, n_i> = 0 for i in S}, one for every set S of
+    fewer than k walls, S = () (the identity) first. Short rows are padded
+    with zero walls and identity projectors, which change nothing.
     """
-    gam = np.arctan2(signs * normals[None, :, 1], signs * normals[None, :, 0])
-    ref = np.arctan2(witnesses[:, 1], witnesses[:, 0])[:, None]
-    delta = np.angle(np.exp(1j * (gam - ref)))
-    lo = ref[:, 0] + np.max(delta, axis=1) - np.pi / 2
-    hi = ref[:, 0] + np.min(delta, axis=1) + np.pi / 2
-    e1 = np.stack([np.cos(lo), np.sin(lo)], axis=1)
-    e2 = np.stack([np.cos(hi), np.sin(hi)], axis=1)
-    edges = np.stack([e1, e2], axis=1)
-    inward = np.stack(
-        [
-            np.stack([-e1[:, 1], e1[:, 0]], axis=1),
-            np.stack([e2[:, 1], -e2[:, 0]], axis=1),
-        ],
-        axis=1,
-    )
-    return edges, inward
+    n, k = normals.shape
+    # copies of one hyperplane (repeated points) have equal signs in every cell
+    all_signs = np.array([c.signs for c in decomp.cells])
+    _, copy_of = np.unique(all_signs.T, axis=0, return_inverse=True)
+    copies = copy_of[:, None] == copy_of[None, :]  # (n, n)
+    projector = {(): np.eye(k)}
+    cell_walls, cell_faces = [], []
+    for ci in used:
+        s = np.array(decomp.cells[ci].signs)
+        flipped = np.where(copies, -s, s)  # row i: hyperplane i crossed
+        bounds = [i for i in range(n) if tuple(flipped[i].tolist()) in decomp.lookup]
+        cell_walls.append(s[bounds, None] * normals[bounds])
+        cell_faces.append([])
+        for size in range(k):
+            for S in combinations(bounds, size):
+                if S not in projector:
+                    N = normals[list(S)]
+                    projector[S] = np.eye(k) - np.linalg.pinv(N) @ N
+                cell_faces[-1].append(projector[S])
+    walls = np.zeros((len(used), max(map(len, cell_walls), default=0), k))
+    faces = np.tile(np.eye(k), (len(used), max(map(len, cell_faces), default=1), 1, 1))
+    for c, (w, f) in enumerate(zip(cell_walls, cell_faces)):
+        walls[c, : len(w)] = w
+        faces[c, : len(f)] = f
+    return walls, faces
 
 
-def _project_sectors(
-    W: np.ndarray, edges: np.ndarray, inward: np.ndarray
-) -> np.ndarray:
-    e1, e2 = edges[:, 0], edges[:, 1]
-    # interior iff on the positive side of both inward edge normals
-    inside = (np.einsum("bk,bk->b", W, inward[:, 0]) >= 0.0) & (
-        np.einsum("bk,bk->b", W, inward[:, 1]) >= 0.0
+def project_cones(W: np.ndarray, walls: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each block row of W onto its cone
+    {v : <m, v> >= 0 for every row m of walls[b]} (see cone_faces).
+
+    The projection lies in the relative interior of one face and equals the
+    projection onto that face's span there. So it is the nearest of the
+    candidates faces[b] @ w that lie in the cone (to 1e-12 ||w||), which is
+    the longest one since ||w - P w||^2 = ||w||^2 - ||P w||^2, or the origin
+    when none is.
+    """
+    cand = np.matmul(faces, W[:, None, :, None])[..., 0]  # (B, F, k)
+    inside = np.all(
+        np.matmul(cand, walls.transpose(0, 2, 1))
+        >= -1e-12 * np.linalg.norm(W, axis=1)[:, None, None],
+        axis=2,
     )
-    p1 = np.maximum(np.einsum("bk,bk->b", W, e1), 0.0)[:, None] * e1
-    p2 = np.maximum(np.einsum("bk,bk->b", W, e2), 0.0)[:, None] * e2
-    d1 = np.sum((W - p1) ** 2, axis=1)
-    d2 = np.sum((W - p2) ** 2, axis=1)
-    proj = np.where((d1 <= d2)[:, None], p1, p2)
-    return np.where(inside[:, None], W, proj)
+    sq = np.where(inside, np.einsum("bfk,bfk->bf", cand, cand), -1.0)
+    rows = np.arange(W.shape[0])
+    best = np.argmax(sq, axis=1)
+    out = cand[rows, best]
+    out[sq[rows, best] < 0.0] = 0.0
+    return out
 
 
 def cone_violation(
@@ -298,17 +288,6 @@ def cone_violation(
 
 def _split(program: FiniteProgram, w: np.ndarray) -> np.ndarray:
     return w.reshape(program.n_blocks, program.k)
-
-
-def _project_blocks(
-    program: FiniteProgram, W: np.ndarray, blocks: slice = slice(None)
-) -> np.ndarray:
-    """Project the rows of W onto the cones of the given blocks: in closed
-    form on the sectors at d = 1, by Dykstra otherwise."""
-    if program.sectors is not None:
-        edges, inward = program.sectors
-        return _project_sectors(W, edges[blocks], inward[blocks])
-    return project_cones(W, program.signs[blocks], program.normals)
 
 
 def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solution:
@@ -378,7 +357,7 @@ def _solve_constrained(program: FiniteProgram, config: SolverConfig) -> Solution
         it += 1
         x1 = prox_g.prox(_split(program, z1), STEP).ravel()
         x2 = proj_affine(z2)
-        x3 = _project_blocks(program, _split(program, z3)).ravel()
+        x3 = project_cones(_split(program, z3), program.walls, program.faces).ravel()
         # relaxed product-space Douglas-Rachford step
         m = (2.0 * (x1 + x2 + x3) - (z1 + z2 + z3)) / 3.0
         z1 += r * (m - x1)
@@ -428,7 +407,7 @@ def _solve_penalized(program: FiniteProgram, config: SolverConfig) -> Solution:
     xB = z.copy()
     while it < config.max_iters:
         it += 1
-        xB = _project_blocks(program, _split(program, z)).ravel()
+        xB = project_cones(_split(program, z), program.walls, program.faces).ravel()
         xA = prox_g.prox(
             _split(program, 2.0 * xB - z - t * grad_h(xB)), t * lam
         ).ravel()
@@ -555,8 +534,8 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
     and cone-restricted dual-gauge bound on inactive ones.
 
     Multipliers are fit by least squares from the active-block gradient
-    conditions. Atoms resting on a cone edge carry an extra nonnegative
-    normal-cone coefficient per touched edge; those coefficients enter the
+    conditions. Atoms resting on a cone wall carry an extra nonnegative
+    normal-cone coefficient per touched wall; those coefficients enter the
     fit as unknowns and their most negative value is reported.
     """
     atom_eps = _atom_eps(solution)
@@ -565,19 +544,14 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
     W = np.vstack([solution.u, solution.v]) if K else np.zeros((0, k))
     lam_pen = program.lam if program.mode == "penalized" else 1.0
 
-    out_normals: dict[int, np.ndarray] = {}
-    if program.sectors is not None:
-        inward = program.sectors[1]
-        for blk in range(2 * K):
-            x = W[blk]
-            scale = max(1.0, float(np.linalg.norm(x)))
-            touched = [
-                -inward[blk, j]
-                for j in range(2)
-                if abs(float(inward[blk, j] @ x)) <= 1e-6 * scale
-            ]
-            if touched:
-                out_normals[blk] = np.array(touched)
+    # block x touches wall i when s_i <n_i, x> is zero to 1e-6 max(1, ||x||);
+    # that wall's outward normal is -s_i n_i
+    inward = program.signs[:, :, None] * program.normals  # (2K, n, k)
+    touched = np.abs(np.einsum("bnk,bk->bn", inward, W)) <= 1e-6 * np.maximum(
+        1.0, np.linalg.norm(W, axis=1)
+    )[:, None]
+    out_normals = {blk: -inward[blk, touched[blk]]
+                   for blk in np.flatnonzero(touched.any(axis=1)).tolist()}
 
     rows_G, rhs_g = [], []
     grads = {}
@@ -630,19 +604,17 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
             r -= beta * nrm
         align = max(align, float(np.max(np.abs(r))))
 
+    # support of q = A_blk^T mult over the cone intersected with the unit
+    # gauge ball, on every inactive block
+    inactive = [blk for blk in range(2 * K) if blk not in grads]
+    Q = (mult @ program.A).reshape(2 * K, k)[inactive]
+    QC = project_cones(Q, program.walls[inactive], program.faces[inactive])
     dual_bound = 0.0
-    for blk in range(2 * K):
-        if blk in grads:
-            continue
-        g = program.gauges[blk % K]
-        Ablk = program.A[:, blk * k : (blk + 1) * k]
-        q = Ablk.T @ mult
-        # support of q over the cone intersected with the unit gauge ball
-        qc = _project_blocks(program, q[None, :], slice(blk, blk + 1))[0]
+    for blk, q, qc in zip(inactive, Q, QC):
         nq = np.linalg.norm(qc)
         if nq > 1e-12:
             v = qc / nq  # exact maximizer direction for the TV gauge
-            gv = g(v)
+            gv = program.gauges[blk % K](v)
             if gv > 1e-12:
                 dual_bound = max(dual_bound, float(q @ v) / gv)
     return {

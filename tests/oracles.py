@@ -2,9 +2,10 @@
 
 Everything here is written against the raw problem statements with its own
 relu/weight arithmetic, so package bugs cannot cancel out. The brute-force
-objective oracles are only valid for d = 1 (directions live on the circle).
-The reference loops at the end keep the plain per-step and per-pair forms of
-code the package runs vectorised, for exact-equality checks.
+objective oracles are only valid for d = 1 (directions live on the circle);
+the weak-duality bound over a sphere grid covers d = 2. The reference loops
+at the end keep the plain per-step and per-pair forms of code the package
+runs vectorised or in closed form, for equality checks.
 """
 
 from __future__ import annotations
@@ -183,12 +184,14 @@ def ray_premerge_reference(dirs, z, members, tol):
     """Greedy pairwise merge of unit directions closer than tol.
 
     Each direction joins the first earlier kept direction u with
-    arccos(clip(u @ v)) < tol and adds its mass and members there.
+    2 atan2(|u - v|, |u + v|) < tol (the angle, exact down to 0) and adds
+    its mass and members there.
     """
     out_d, out_z, out_m = [], [], []
     for v, w, mem in zip(dirs, z, members):
         for idx, u in enumerate(out_d):
-            if np.arccos(np.clip(u @ v, -1.0, 1.0)) < tol:
+            gap = np.sqrt(np.sum((u - v) ** 2))
+            if 2.0 * np.arctan2(gap, np.sqrt(np.sum((u + v) ** 2))) < tol:
                 out_z[idx] += w
                 out_m[idx].extend(mem)
                 break
@@ -197,3 +200,53 @@ def ray_premerge_reference(dirs, z, members, tol):
             out_z.append(w)
             out_m.append(list(mem))
     return np.array(out_d), np.array(out_z), out_m
+
+
+def fibonacci_sphere(m: int) -> np.ndarray:
+    """m nearly uniform unit vectors in R^3 (golden-angle spiral)."""
+    i = np.arange(m) + 0.5
+    z = 1.0 - 2.0 * i / m
+    r = np.sqrt(1.0 - z**2)
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * i
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def weak_duality_bound(
+    kind: str, points: np.ndarray, targets: np.ndarray, mult: np.ndarray,
+    m: int = 200_000,
+) -> float:
+    """Lower bound on the d = 2 interpolation objective from multipliers.
+
+    Any lam gives objective >= y.lam / max_t |sum_i lam_i relu(<x~_i, t>)| /
+    w(t). The max runs over a Fibonacci grid of m directions, which can miss
+    the peak, so the grid value can exceed the objective slightly.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    lifted = np.hstack([points, np.ones((points.shape[0], 1))])
+    thetas = fibonacci_sphere(m)
+    act = np.maximum(lifted @ thetas.T, 0.0)  # (n, m)
+    w = _weights(kind, lifted, thetas)
+    live = w > 0.0
+    peak = np.max(np.abs(mult @ act[:, live]) / w[live])
+    return float(np.asarray(targets) @ mult) / peak
+
+
+def dykstra_reference(W, signs, normals, tol, max_cycles):
+    """Projection of each row of W onto {v : signs_i <v, n_i> >= 0} by
+    Dykstra's cyclic half-space projections, stopped when a cycle moves no
+    entry by more than tol (relative) or after max_cycles cycles."""
+    X = W.copy()
+    n = normals.shape[0]
+    C = np.zeros((X.shape[0], n, X.shape[1]))
+    for _ in range(max_cycles):
+        start = X
+        for i in range(n):
+            V = X + C[:, i]
+            alpha = signs[:, i] * (V @ normals[i])
+            viol = np.minimum(alpha, 0.0)
+            Xn = V - (viol * signs[:, i])[:, None] * normals[i]
+            C[:, i] = V - Xn
+            X = Xn
+        if np.max(np.abs(X - start)) <= tol * (1.0 + np.max(np.abs(X))):
+            break
+    return X

@@ -81,6 +81,15 @@ def test_ray_premerge_matches_pairwise_reference():
     assert want[2] == [[0, 2], [1, 3, 6], [4], [5]]
     _assert_same_rays(_ray_table(RadonMeasure(dirs, z)), want)
 
+    # exact duplicates merge although u @ u rounds below 1, where
+    # arccos(u @ u) reads 1.5e-8 rad, far above DIRECTION_MERGE_TOL
+    net = ParticleNetwork(np.array([[1.0], [1.0]]), np.array([2.0, 2.0]),
+                          np.array([1.0, 2.0]))
+    dirs, z, members = _ray_table(net)
+    assert dirs[0] @ dirs[0] < 1.0
+    assert z == pytest.approx([1.5 * np.sqrt(5.0)]) and members == [[0, 1]]
+    assert project_to_sphere(net.to_measure()).k == 1
+
 
 def test_effective_support_counts_rays(dec3):
     w0 = dec3.cells[0].witness

@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_generic_dataset
-from oracles import exhaustive_support_objective
+from oracles import (
+    dykstra_reference,
+    exhaustive_support_objective,
+    weak_duality_bound,
+)
 from relucells.arrangement import enumerate_cells
 from relucells.errors import InfeasibleError, PreconditionError
 from relucells.model import Dataset, predict_radon
@@ -18,6 +24,23 @@ from relucells.solver import (
     project_cones,
     solve,
 )
+
+# Generic d = 2, n = 3 datasets: Gaussian points and targets drawn with
+# numpy's default_rng(5) and default_rng(1).
+PLANE = {
+    5: (
+        np.array([[-0.8019314252534474, -1.324358995628145],
+                  [-0.24836162209524854, 0.4204452380655215],
+                  [1.1360465324896427, 0.10970639932180819]]),
+        np.array([-0.5526473205362324, -0.7847803553442784, 0.7487457707345911]),
+    ),
+    1: (
+        np.array([[0.345584192064786, 0.8216181435011584],
+                  [0.33043707618338714, -1.303157231604361],
+                  [0.9053558666731177, 0.4463745723640113]]),
+        np.array([-0.5369532353602852, 0.5811181041963531, 0.36457239618607573]),
+    ),
+}
 
 
 def test_build_program_shapes(ds3, dec3):
@@ -115,17 +138,104 @@ def test_infeasible_without_active_cells():
         solve(prog)
 
 
-def test_cone_projection_matches_dykstra(dec3, ds3):
-    rng = np.random.default_rng(5)
-    prog = build_program(ds3, dec3, PotentialKind.tv())
-    from relucells.solver import _project_blocks
+def _cone_inputs(prog, rng):
+    """Random rows, scaled cell witnesses (inside) and witnesses moved onto
+    one of their cell's walls, one block index per row."""
+    K = len(prog.cells_used)
+    blocks = np.arange(prog.n_blocks)
+    wit = np.array([prog.decomposition.cells[prog.cells_used[b % K]].witness
+                    for b in blocks])
+    inside = wit * (0.5 + rng.random((len(blocks), 1)))
+    rows, owners = [], []
+    for b, w in zip(blocks, inside):
+        for nrm in prog.normals:
+            x = w - (w @ nrm) * nrm
+            if np.min(prog.signs[b] * (prog.normals @ x)) >= -1e-15:
+                rows.append(x)
+                owners.append(b)
+    assert rows, "no witness lands on a wall inside its cone"
+    outside = rng.normal(size=(3 * len(blocks), prog.k)) * 3.0
+    return (
+        (outside, np.tile(blocks, 3)),
+        (inside, blocks),
+        (np.array(rows), np.array(owners)),
+    )
 
-    W = rng.normal(size=(prog.n_blocks, 2)) * 3.0
-    exact = _project_blocks(prog, W)
-    dykstra = project_cones(W, prog.signs, prog.normals, tol=1e-14,
-                            max_cycles=5_000)
-    assert exact == pytest.approx(dykstra, abs=1e-10)
-    assert cone_violation(exact, prog.signs, prog.normals) <= 1e-12
+
+def test_cone_projection_matches_dykstra():
+    rng = np.random.default_rng(5)
+    datasets = [random_generic_dataset(rng, n, d)
+                for n, d in [(3, 1), (6, 1), (3, 2), (5, 2), (5, 3)]]
+    # a repeated point gives two copies of one hyperplane
+    datasets.append(Dataset(np.array([[-1.0, 0.3], [0.4, 0.5], [0.4, 0.5],
+                                      [0.9, -0.7]]), np.zeros(4)))
+    for ds in datasets:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            dec = enumerate_cells(ds)
+        prog = build_program(ds, dec, PotentialKind.tv())
+        (outside, b_out), (inside, b_in), (wall, b_wall) = _cone_inputs(prog, rng)
+        for W, blk in [(outside, b_out), (inside, b_in), (wall, b_wall)]:
+            signs = prog.signs[blk]
+            exact = project_cones(W, prog.walls[blk], prog.faces[blk])
+            # thin cones (here in the n = 5, d = 2 case) take Dykstra over
+            # 20 000 cycles to settle
+            dykstra = dykstra_reference(W, signs, prog.normals, tol=1e-15,
+                                        max_cycles=200_000)
+            assert exact == pytest.approx(dykstra, abs=1e-10)
+            assert cone_violation(exact, signs, prog.normals) <= 1e-12
+        # points of the cone stay where they are
+        assert np.array_equal(
+            project_cones(inside, prog.walls[b_in], prog.faces[b_in]), inside
+        )
+        assert project_cones(
+            wall, prog.walls[b_wall], prog.faces[b_wall]
+        ) == pytest.approx(wall, abs=1e-12)
+
+
+def test_cone_faces_follow_the_cell_walls(ds3, dec3):
+    # at d = 1 every cone is a sector with two walls: faces (), {a}, {b}
+    prog = build_program(ds3, dec3, PotentialKind.tv())
+    assert prog.walls.shape == (prog.n_blocks, 2, 2)
+    assert prog.faces.shape == (prog.n_blocks, 3, 2, 2)
+    assert all(np.array_equal(P, np.eye(2)) for P in prog.faces[:, 0])
+    # d = 2, n = 3: at most 1 + 3 + 3 faces per cone
+    ds = Dataset(*PLANE[5])
+    prog2 = build_program(ds, enumerate_cells(ds), PotentialKind.tv())
+    assert prog2.faces.shape[1:] == (7, 3, 3)
+    for P in prog2.faces.reshape(-1, 3, 3):
+        assert P @ P == pytest.approx(P, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [5, 1])
+def test_plane_tv_solve_is_certified(seed):
+    points, targets = PLANE[seed]
+    ds = Dataset(points, targets)
+    prog = build_program(ds, enumerate_cells(ds), PotentialKind.tv())
+    sol = solve(prog)
+    assert sol.converged
+    nu = extract_radon(prog, sol)
+    assert predict_radon(nu, points) == pytest.approx(targets, abs=1e-6)
+    cert = optimality_certificate(prog, sol)
+    assert cert["alignment_residual"] < 1e-5
+    assert cert["inactive_dual_bound"] < 1.0 + 1e-5
+    assert cert["normal_multiplier_min"] > -1e-6
+    # the grid misses the dual peak by up to ~1e-3 relative
+    bound = weak_duality_bound("tv", points, targets, cert["multipliers"])
+    assert bound == pytest.approx(sol.objective, rel=1e-3)
+
+
+def test_plane_label_noise_multipliers_reach_the_objective():
+    points, targets = PLANE[5]
+    ds = Dataset(points, targets)
+    prog = build_program(ds, enumerate_cells(ds), PotentialKind.label_noise(ds))
+    sol = solve(prog)
+    assert sol.converged
+    cert = optimality_certificate(prog, sol)
+    assert cert["alignment_residual"] < 1e-5
+    bound = weak_duality_bound("label-noise", points, targets,
+                               cert["multipliers"])
+    assert bound == pytest.approx(sol.objective, rel=1e-6)
 
 
 def test_two_inits_same_objective(ds2):
