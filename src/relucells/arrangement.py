@@ -4,8 +4,10 @@ Every datapoint x_i induces the hyperplane {theta : <theta, x~_i> = 0} in
 the lifted parameter space R^{d+1}. The full-dimensional regions of this
 arrangement are closed convex cones ("cells"); two inner-layer parameters
 lie in the same cell iff they activate the same datapoints. Enumeration is
-by incremental insertion with a margin-maximization feasibility subproblem
-per candidate sign extension.
+by incremental insertion from the empty sign pattern, with one
+margin-maximization LP per candidate sign extension. A cell's witness and
+margin are those of the LP that admitted its full pattern; no cell is
+solved twice.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from ._simplex import max_margin
 from .errors import CellLookupError, PreconditionError, ZeroDirectionError
-from .model import AtomicMeasure, Dataset
+from .model import Dataset
 
 FEASIBILITY_EPS = 1e-9
 BOUNDARY_EPS = 1e-9
@@ -111,26 +113,24 @@ def enumerate_cells(
             "raise max_cells to override"
         )
 
-    # seed with the two sides of the first hyperplane
-    partial: list[tuple] = [(1,), (-1,)]
-    for h in range(1, uniq.shape[0]):
+    # grow sign patterns one hyperplane at a time from the empty pattern,
+    # keeping each with the (margin, witness) of the LP that admitted it
+    partial: dict[tuple, tuple] = {(): (0.0, None)}
+    for h in range(uniq.shape[0]):
         rows = uniq[: h + 1]
-        grown = []
+        grown = {}
         for signs in partial:
             for s_new in (1, -1):
                 cand = signs + (s_new,)
-                t, _ = max_margin(rows, np.array(cand, dtype=float))
+                t, theta = max_margin(rows, np.array(cand, dtype=float))
                 if t > FEASIBILITY_EPS:
-                    grown.append(cand)
+                    grown[cand] = (t, theta)
         partial = grown
 
-    cells = []
-    for signs in partial:
-        full = tuple(int(signs[rep[i]]) for i in range(dataset.n))
-        t, theta = max_margin(uniq, np.array(signs, dtype=float))
-        if t <= FEASIBILITY_EPS:
-            raise CellLookupError(f"feasibility subproblem failed for signs {signs}")
-        cells.append(Cell(full, theta, float(t)))
+    cells = [
+        Cell(tuple(int(signs[r]) for r in rep), theta, float(t))
+        for signs, (t, theta) in partial.items()
+    ]
     cells.sort(key=lambda c: c.signs)
     lookup = {c.signs: i for i, c in enumerate(cells)}
     return CellDecomposition(tuple(cells), lifted, is_generic(dataset), lookup)
@@ -171,15 +171,6 @@ def locate_cell(
     return best[2], boundary
 
 
-def cone_membership(decomp: CellDecomposition, cell_index: int, v) -> bool:
-    """True iff v lies in the (closed, tolerance-widened) cone of the cell."""
-    v = np.asarray(v, dtype=float).ravel()
-    norm = np.linalg.norm(v)
-    cell = decomp.cells[cell_index]
-    vals = np.array(cell.signs) * (decomp.lifted @ v)
-    return bool(np.all(vals >= -BOUNDARY_EPS * norm))
-
-
 def cell_sum_check(
     decomp: CellDecomposition, theta: np.ndarray, theta_p: np.ndarray
 ) -> bool:
@@ -199,20 +190,6 @@ def cell_sum_check(
     rhs = np.maximum(u + v, 0.0)
     scale = max(1.0, float(np.max(np.abs(lhs))))
     return bool(np.max(np.abs(lhs - rhs)) <= 1e-9 * scale)
-
-
-def cell_moments(
-    decomp: CellDecomposition, cell_index: int, mu: AtomicMeasure
-) -> tuple[np.ndarray, float]:
-    """Per-cell aggregates (int c a dmu, int c b dmu) for a measure in the cell."""
-    for theta in mu.thetas:
-        idx, _ = locate_cell(decomp, theta)
-        if idx != cell_index:
-            raise PreconditionError(
-                f"atom locates to cell {idx}, expected {cell_index}"
-            )
-    w = mu.p * mu.c
-    return w @ mu.A, float(w @ mu.b)
 
 
 def decomposition_to_json(decomp: CellDecomposition) -> str:

@@ -37,10 +37,12 @@ import numpy as np
 from . import _simplex
 from .arrangement import CellDecomposition
 from .errors import InfeasibleError, PreconditionError
-from .model import Dataset, RadonMeasure, relu
+from .model import Dataset, RadonMeasure, angle, relu
 from .potentials import PotentialKind, cell_gauge, weight
 
 ATOM_EPS_REL = 1e-6
+# the u and v atoms of one cell within this angle sit on one ray
+SAME_RAY_ANGLE = 1e-3
 
 # Stopping rule: the primal residual (constrained) or the scaled prox gap
 # (penalized) is below TOL_FEAS, and the objective moved by at most TOL_OBJ
@@ -444,41 +446,43 @@ def _atom_eps(solution: Solution) -> float:
     return ATOM_EPS_REL * max(1.0, abs(solution.objective))
 
 
+def _live_blocks(program: FiniteProgram, W: np.ndarray, atom_eps: float) -> np.ndarray:
+    """Which blocks carry an atom: norm above atom_eps, on a ray that
+    activates some datapoint.
+
+    A block on the wall of every datapoint active in its cell predicts
+    nothing and costs nothing under data-dependent gauges, whose value
+    there is roundoff; splitting iterates may leave arbitrary mass on it.
+    """
+    norms = np.linalg.norm(W, axis=1)
+    act = np.max(program.decomposition.lifted @ W.T, axis=0)
+    return (norms > atom_eps) & (act > 1e-12 * norms)
+
+
 def extract_radon(program: FiniteProgram, solution: Solution) -> RadonMeasure:
     """Read off the sphere atoms: u_s -> (+||u_s||, u_s/||u_s||), v_s negated."""
     atom_eps = _atom_eps(solution)
+    K = len(solution.u)
+    live = _live_blocks(program, np.vstack([solution.u, solution.v]), atom_eps)
     dirs, masses = [], []
-    for u_s, v_s in zip(solution.u, solution.v):
+    for s, (u_s, v_s) in enumerate(zip(solution.u, solution.v)):
         nu, nv = np.linalg.norm(u_s), np.linalg.norm(v_s)
-        if nu > atom_eps and nv > atom_eps:
+        if live[s] and live[K + s] and angle(u_s / nu, v_s / nv) < SAME_RAY_ANGLE:
             # same-ray cancellation leftover from the splitting iterates:
             # the net atom stays on the shared ray with signed mass nu - nv
-            cosang = np.clip((u_s @ v_s) / (nu * nv), -1.0, 1.0)
-            if np.arccos(cosang) < 1e-3:
-                ray = u_s + v_s
-                ray /= np.linalg.norm(ray)
-                if abs(nu - nv) > atom_eps:
-                    dirs.append(ray)
-                    masses.append(nu - nv)
-                continue
-        if nu > atom_eps:
+            if abs(nu - nv) > atom_eps:
+                dirs.append((u_s + v_s) / np.linalg.norm(u_s + v_s))
+                masses.append(nu - nv)
+            continue
+        if live[s]:
             dirs.append(u_s / nu)
             masses.append(nu)
-        if nv > atom_eps:
+        if live[K + s]:
             dirs.append(v_s / nv)
             masses.append(-nv)
     if not dirs:
         return RadonMeasure.empty(program.dataset.d)
-    dirs = np.array(dirs)
-    masses = np.array(masses)
-    # inert rays (no activation at any datapoint) predict nothing and cost
-    # nothing under data-dependent gauges; splitting iterates may leave
-    # arbitrary mass there, so they are stripped
-    act = relu(program.decomposition.lifted @ dirs.T)
-    live = np.max(act, axis=0) > 1e-12
-    if not np.any(live):
-        return RadonMeasure.empty(program.dataset.d)
-    return RadonMeasure(dirs[live], masses[live])
+    return RadonMeasure(np.array(dirs), np.array(masses))
 
 
 @dataclass(frozen=True)
@@ -510,16 +514,6 @@ class LPInstance:
             dirs = dirs / w[:, None]
         A = relu(dataset.lifted @ dirs.T)
         return cls(A, dataset.targets.copy())
-
-    def save_csv(self, a_path, y_path) -> None:
-        np.savetxt(a_path, self.A, delimiter=",")
-        np.savetxt(y_path, self.y, delimiter=",")
-
-    @classmethod
-    def load_csv(cls, a_path, y_path) -> "LPInstance":
-        A = np.atleast_2d(np.loadtxt(a_path, delimiter=","))
-        y = np.atleast_1d(np.loadtxt(y_path, delimiter=","))
-        return cls(A, y)
 
 
 def lp_l1(instance: LPInstance) -> tuple[np.ndarray, np.ndarray, float]:
@@ -555,13 +549,10 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
 
     rows_G, rhs_g = [], []
     grads = {}
-    for blk in range(2 * K):
+    for blk in np.flatnonzero(_live_blocks(program, W, atom_eps)).tolist():
         g = program.gauges[blk % K]
         x = W[blk]
-        nx = g(x)
-        if np.linalg.norm(x) <= atom_eps or nx <= 0:
-            continue
-        grad = g.kappa**2 * (g.Q @ x) / nx
+        grad = g.kappa**2 * (g.Q @ x) / g(x)
         grads[blk] = grad
         Ablk = program.A[:, blk * k : (blk + 1) * k]  # already sign-carrying
         rows_G.append((blk, Ablk / lam_pen))

@@ -27,6 +27,7 @@ from .model import (
     Dataset,
     Neuron,
     ParticleNetwork,
+    angle,
     predict_measure,
     predict_radon,
     project_to_sphere,
@@ -131,10 +132,9 @@ def check_convexity(rng, quick: bool) -> tuple[bool, str]:
             np.linalg.matrix_rank(lifted[lifted @ th > 1e-6], tol=1e-10) == 2
             for th in (th1, th2)
         )
-        cosang = abs(th1 @ th2) / (
-            np.linalg.norm(th1) * np.linalg.norm(th2)
-        )
-        ang = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+        # angle between the lines through th1 and th2
+        u1, u2 = th1 / np.linalg.norm(th1), th2 / np.linalg.norm(th2)
+        ang = float(min(angle(u1, u2), angle(u1, -u2)))
         # strictness gap scales with the squared angle; near-proportional
         # pairs fall below the equality tolerance and are not asserted
         if full_rank and ang > 1e-1:

@@ -72,9 +72,10 @@ def test_criterion_01_cell_count_law(capsys):
         dec = enumerate_cells(ds)
         ok &= dec.size == expected_cell_count(n, d)
         dirs = rng.standard_normal((100_000, d + 1))
-        patterns = np.unique(np.sign(ds.lifted @ dirs.T).T.astype(np.int8),
-                             axis=0)
-        sampled = {tuple(int(v) for v in row) for row in patterns}
+        # one base-3 code per sign row (sign + 1 keeps a zero sign distinct)
+        digits = np.sign(ds.lifted @ dirs.T).T.astype(np.int64) + 1
+        codes = np.unique(digits @ 3 ** np.arange(n))
+        sampled = {tuple(int(c) // 3**i % 3 - 1 for i in range(n)) for c in codes}
         enumerated = set(dec.lookup)
         ok &= sampled <= enumerated
         if d <= 2:

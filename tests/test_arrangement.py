@@ -1,11 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_generic_dataset
+from relucells._simplex import max_margin
 from relucells.arrangement import (
-    cell_moments,
     cell_sum_check,
-    cone_membership,
     dataset_fingerprint,
     decomposition_to_json,
     enumerate_cells,
@@ -14,7 +15,7 @@ from relucells.arrangement import (
     locate_cell,
 )
 from relucells.errors import PreconditionError, ZeroDirectionError
-from relucells.model import AtomicMeasure, Dataset
+from relucells.model import Dataset
 
 
 def test_expected_cell_count_small_cases():
@@ -52,6 +53,32 @@ def test_witness_interior_and_margin(dec3, ds3):
         assert cell.margin > 0
 
 
+@pytest.mark.parametrize("case", ["d1", "d2", "d3", "duplicate", "one point"])
+def test_witness_is_the_admitting_lp(case):
+    # every cell keeps the (margin, witness) of the LP on all unique rows
+    # that admitted it, so solving that LP afresh reproduces both exactly
+    rng = np.random.default_rng(21)
+    ds = {
+        "d1": lambda: random_generic_dataset(rng, 6, 1),
+        "d2": lambda: random_generic_dataset(rng, 5, 2),
+        "d3": lambda: random_generic_dataset(rng, 5, 3),
+        "duplicate": lambda: Dataset(np.array([[0.3, -1.0], [0.8, 0.4],
+                                               [0.3, -1.0], [-0.6, 0.2]]),
+                                     np.zeros(4)),
+        "one point": lambda: Dataset(np.array([[0.7]]), np.array([1.0])),
+    }[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        dec = enumerate_cells(ds)
+    _, first = np.unique(ds.lifted, axis=0, return_index=True)
+    keep = np.sort(first)
+    for cell in dec.cells:
+        t, theta = max_margin(ds.lifted[keep],
+                              np.array(cell.signs, dtype=float)[keep])
+        assert cell.margin == float(t)
+        assert np.array_equal(cell.witness, theta)
+
+
 def test_locate_cell_roundtrip(dec3):
     for i, cell in enumerate(dec3.cells):
         idx, boundary = locate_cell(dec3, cell.witness)
@@ -71,13 +98,6 @@ def test_locate_cell_boundary_resolves_active(ds3, dec3):
 def test_locate_cell_rejects_zero(dec3):
     with pytest.raises(ZeroDirectionError):
         locate_cell(dec3, np.zeros(2))
-
-
-def test_cone_membership(dec3):
-    for i, cell in enumerate(dec3.cells):
-        assert cone_membership(dec3, i, cell.witness)
-        assert cone_membership(dec3, i, 3.7 * cell.witness)  # cones are conic
-        assert not cone_membership(dec3, i, -cell.witness)
 
 
 def test_cell_sum_check_same_cell(dec3):
@@ -102,29 +122,6 @@ def test_duplicate_points_warn_and_dedup():
     assert dec.size == 4
     for cell in dec.cells:
         assert cell.signs[0] == cell.signs[1]
-
-
-def test_cell_moments(dec3):
-    cell_idx = 0
-    w = dec3.cells[cell_idx].witness
-    mu = AtomicMeasure(
-        np.array([[w[0]], [2 * w[0]]]), np.array([w[1], 2 * w[1]]),
-        np.array([1.0, -0.5]), np.array([0.3, 0.7]),
-    )
-    ma, mb = cell_moments(dec3, cell_idx, mu)
-    want_a = 0.3 * 1.0 * w[0] + 0.7 * (-0.5) * 2 * w[0]
-    want_b = 0.3 * 1.0 * w[1] + 0.7 * (-0.5) * 2 * w[1]
-    assert ma == pytest.approx([want_a])
-    assert mb == pytest.approx(want_b)
-
-
-def test_cell_moments_rejects_foreign_atom(dec3):
-    w = dec3.cells[0].witness
-    mu = AtomicMeasure(
-        np.array([[-w[0]]]), np.array([-w[1]]), np.array([1.0]), np.array([1.0])
-    )
-    with pytest.raises(PreconditionError):
-        cell_moments(dec3, 0, mu)
 
 
 def test_decomposition_json_and_fingerprint(dec3, ds3):
