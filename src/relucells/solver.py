@@ -15,6 +15,8 @@ potential. The constrained problem is solved by product-space
 Douglas-Rachford splitting (gauge prox / affine projection / cone
 projection); the penalized variant swaps the affine projection for a
 gradient step on the squared loss (Davis-Yin three-operator splitting).
+The gauge prox solves one secular equation per block by Newton's method,
+with bisection as the fallback.
 The cone projection is exact in every dimension: the projection onto a
 polyhedral cone is the orthogonal projection onto the span of one of its
 faces, so it is the nearest in-cone point among the projections onto the
@@ -158,7 +160,15 @@ class Solution:
 
 
 class _GaugeProx:
-    """Vectorized prox of the per-block gauges g_b(x) = kappa_b sqrt(x^T Q_b x)."""
+    """Vectorized prox of the per-block gauges g_b(x) = kappa_b sqrt(x^T Q_b x).
+
+    In the eigenbasis of Q_b the prox with step t scales component j by
+    rho / (rho + t kappa_b lam_j), where rho solves the secular equation
+    sum_j lam_j xi_j^2 / (rho + t kappa_b lam_j)^2 = 1 (Newton, with a
+    bisection fallback; see _secular_root), and keeps null-space components.
+    A row whose equation has no positive root shrinks onto the null space.
+    TV gauges (kappa = 1, Q = I) take the closed-form block soft threshold.
+    """
 
     def __init__(self, gauges):
         blocks = list(gauges) * 2  # u blocks then v blocks share gauges
@@ -188,34 +198,57 @@ class _GaugeProx:
             shrink = np.maximum(0.0, 1.0 - tau / np.maximum(r, 1e-300))
             return W * shrink[:, None]
         xi0 = np.einsum("bkj,bk->bj", self.evecs, W)
-        lam = self.evals
-        pos = lam > 0.0
-        r0 = np.sqrt(np.sum(lam * xi0**2, axis=1))
+        pos = self.evals > 0.0
+        num = self.evals * xi0**2
+        # zero eigenvalues carry no term: give them a unit denominator
+        tl = np.where(pos, tau[:, None] * self.evals, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            g0 = np.sum(
-                np.where(pos, xi0**2 / np.maximum(lam, 1e-300), 0.0), axis=1
-            ) / np.maximum(tau, 1e-300) ** 2
-        need = (r0 > 0.0) & (tau > 0.0) & (g0 > 1.0)
-        # bisection for rho solving sum_j lam_j xi0_j^2 / (rho + tau lam_j)^2 = 1
-        lo = np.zeros_like(r0)
-        hi = r0.copy()
-        tl = tau[:, None] * lam
-        num = lam * xi0**2
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            G = np.sum(num / np.maximum(mid[:, None] + tl, 1e-150) ** 2, axis=1)
-            right = G > 1.0
-            lo = np.where(right, mid, lo)
-            hi = np.where(right, hi, mid)
-        rho = np.where(need, 0.5 * (lo + hi), 0.0)
-        factor = np.where(
-            pos,
-            rho[:, None] / np.maximum(rho[:, None] + tl, 1e-300),
-            1.0,
-        )
-        factor = np.where(tau[:, None] > 0.0, factor, 1.0)
-        xi = xi0 * factor
-        return np.einsum("bkj,bj->bk", self.evecs, xi)
+            # the secular equation has a positive root where phi(0) > 1;
+            # elsewhere the row shrinks onto the null space of Q_b
+            need = (tau > 0.0) & (np.sum(num / tl**2, axis=1) > 1.0)
+        rho = np.zeros(len(W))
+        if need.any():
+            rho[need] = _secular_root(num[need], tl[need])
+        shrink = rho[:, None] / np.maximum(rho[:, None] + tl, 1e-300)
+        factor = np.where(pos & (tau[:, None] > 0.0), shrink, 1.0)
+        return np.einsum("bkj,bj->bk", self.evecs, xi0 * factor)
+
+
+def _secular_root(num: np.ndarray, tl: np.ndarray) -> np.ndarray:
+    """The root rho > 0 of phi(rho) = sum_j num_j / (rho + tl_j)^2 = 1 in
+    each row, for rows with phi(0) > 1 and tl > 0.
+
+    Newton on h = phi^(-1/2) - 1, which is concave and increasing (Moré &
+    Sorensen 1983): from a point where h <= 0 the iterates rise to the root
+    with no overshoot. Rows whose rho still moves by more than an ulp after
+    30 steps fall back to bisection.
+    """
+    # phi(rho) >= num_j / (rho + tl_j)^2 for each j, so h <= 0 here
+    rho = np.maximum(np.max(np.sqrt(num) - tl, axis=1), 0.0)
+    for _ in range(30):
+        den = rho[:, None] + tl
+        q = num / den**2
+        phi = np.sum(q, axis=1)
+        step = np.maximum(phi * (np.sqrt(phi) - 1.0) / np.sum(q / den, axis=1), 0.0)
+        rho += step
+        unsettled = ~(step <= 2.3e-16 * rho)
+        if not unsettled.any():
+            return rho
+    rho[unsettled] = _bisect_root(num[unsettled], tl[unsettled])
+    return rho
+
+
+def _bisect_root(num: np.ndarray, tl: np.ndarray) -> np.ndarray:
+    """The root of _secular_root by 70 bisection steps on [0, sqrt(sum num)],
+    where phi <= 1."""
+    lo = np.zeros(len(num))
+    hi = np.sqrt(np.sum(num, axis=1))
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        right = np.sum(num / (mid[:, None] + tl) ** 2, axis=1) > 1.0
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def cone_faces(
@@ -527,77 +560,50 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
     """Diagnostic KKT check: gauge-subdifferential alignment on active blocks
     and cone-restricted dual-gauge bound on inactive ones.
 
-    Multipliers are fit by least squares from the active-block gradient
-    conditions. Atoms resting on a cone wall carry an extra nonnegative
-    normal-cone coefficient per touched wall; those coefficients enter the
-    fit as unknowns and their most negative value is reported.
+    Atoms resting on a cone wall carry an extra nonnegative normal-cone
+    coefficient per touched wall. In constrained mode the multipliers and
+    those coefficients are fit together by least squares from the
+    active-block gradient conditions; in penalized mode the multipliers are
+    explicit for the squared loss and only the coefficients are fit. The
+    most negative coefficient is reported.
     """
     atom_eps = _atom_eps(solution)
     k = program.k
+    n = program.dataset.n
     K = len(program.cells_used)
     W = np.vstack([solution.u, solution.v]) if K else np.zeros((0, k))
-    lam_pen = program.lam if program.mode == "penalized" else 1.0
 
     # block x touches wall i when s_i <n_i, x> is zero to 1e-6 max(1, ||x||);
-    # that wall's outward normal is -s_i n_i
+    # s_i n_i is that wall's inward normal
     inward = program.signs[:, :, None] * program.normals  # (2K, n, k)
     touched = np.abs(np.einsum("bnk,bk->bn", inward, W)) <= 1e-6 * np.maximum(
         1.0, np.linalg.norm(W, axis=1)
     )[:, None]
-    out_normals = {blk: -inward[blk, touched[blk]]
-                   for blk in np.flatnonzero(touched.any(axis=1)).tolist()}
 
-    rows_G, rhs_g = [], []
-    grads = {}
-    for blk in np.flatnonzero(_live_blocks(program, W, atom_eps)).tolist():
+    # on live block b: grad g(x_b) = A_b^T mult + sum of beta nrm over the
+    # inward normals nrm of its touched walls, with unknowns (mult, beta)
+    live = np.flatnonzero(_live_blocks(program, W, atom_eps)).tolist()
+    walls = [(r, nrm) for r, b in enumerate(live) for nrm in inward[b, touched[b]]]
+    G = np.zeros((k * len(live), n + len(walls)))
+    gvec = np.zeros(k * len(live))
+    for r, blk in enumerate(live):
         g = program.gauges[blk % K]
-        x = W[blk]
-        grad = g.kappa**2 * (g.Q @ x) / g(x)
-        grads[blk] = grad
-        Ablk = program.A[:, blk * k : (blk + 1) * k]  # already sign-carrying
-        rows_G.append((blk, Ablk / lam_pen))
-        rhs_g.append(grad)
-
-    n_beta = sum(len(out_normals.get(blk, ())) for blk, _ in rows_G)
-    normal_min = 0.0
+        gvec[r * k : (r + 1) * k] = g.kappa**2 * (g.Q @ W[blk]) / g(W[blk])
+        G[r * k : (r + 1) * k, :n] = program.A[:, blk * k : (blk + 1) * k].T
+    for c, (r, nrm) in enumerate(walls):
+        G[r * k : (r + 1) * k, n + c] = nrm
     if program.mode == "penalized":
-        # multipliers are explicit for the squared loss
-        resid = program.A @ np.concatenate([solution.u.ravel(), solution.v.ravel()])
-        mult = -(resid - program.y) / program.dataset.n / program.lam
-        betas = {}
-    elif rows_G:
-        n = program.dataset.n
-        G = np.zeros((k * len(rows_G), n + n_beta))
-        gvec = np.concatenate(rhs_g)
-        col = n
-        beta_cols: dict[int, slice] = {}
-        for r, (blk, Ablk) in enumerate(rows_G):
-            G[r * k : (r + 1) * k, :n] = Ablk.T
-            for nrm in out_normals.get(blk, ()):  # grad = A^T mult - beta nrm
-                G[r * k : (r + 1) * k, col] = -nrm
-                beta_cols.setdefault(blk, slice(col, col))
-                beta_cols[blk] = slice(beta_cols[blk].start, col + 1)
-                col += 1
-        sol_ls, *_ = np.linalg.lstsq(G, gvec, rcond=None)
-        mult = sol_ls[:n]
-        betas = {blk: sol_ls[s] for blk, s in beta_cols.items()}
-        if n_beta:
-            normal_min = float(min(np.min(b) for b in betas.values()))
+        mult = (program.y - program.A @ W.ravel()) / n / program.lam
+        beta = np.linalg.lstsq(G[:, n:], gvec - G[:, :n] @ mult, rcond=None)[0]
     else:
-        mult = np.zeros(program.dataset.n)
-        betas = {}
-
-    align = 0.0
-    for blk, grad in grads.items():
-        Ablk = program.A[:, blk * k : (blk + 1) * k]
-        r = Ablk.T @ mult - grad
-        for nrm, beta in zip(out_normals.get(blk, ()), betas.get(blk, ())):
-            r -= beta * nrm
-        align = max(align, float(np.max(np.abs(r))))
+        sol_ls = np.linalg.lstsq(G, gvec, rcond=None)[0]
+        mult, beta = sol_ls[:n], sol_ls[n:]
+    normal_min = float(np.min(beta)) if walls else 0.0
+    align = float(np.max(np.abs(G @ np.concatenate([mult, beta]) - gvec), initial=0.0))
 
     # support of q = A_blk^T mult over the cone intersected with the unit
     # gauge ball, on every inactive block
-    inactive = [blk for blk in range(2 * K) if blk not in grads]
+    inactive = [blk for blk in range(2 * K) if blk not in live]
     Q = (mult @ program.A).reshape(2 * K, k)[inactive]
     QC = project_cones(Q, program.walls[inactive], program.faces[inactive])
     dual_bound = 0.0

@@ -4,8 +4,9 @@ Everything here is written against the raw problem statements with its own
 relu/weight arithmetic, so package bugs cannot cancel out. The brute-force
 objective oracles are only valid for d = 1 (directions live on the circle);
 the weak-duality bound over a sphere grid covers d = 2. The reference loops
-at the end keep the plain per-step and per-pair forms of code the package
-runs vectorised or in closed form, for equality checks.
+at the end keep the plain per-step and per-pair forms, and the slower
+iterations, of code the package runs vectorised, in closed form or by a
+faster method, for equality checks.
 """
 
 from __future__ import annotations
@@ -250,3 +251,42 @@ def dykstra_reference(W, signs, normals, tol, max_cycles):
         if np.max(np.abs(X - start)) <= tol * (1.0 + np.max(np.abs(X))):
             break
     return X
+
+
+def gauge_prox_bisection_reference(Q, kappa, W, t):
+    """Prox of the block gauges g_b(x) = kappa_b sqrt(x^T Q_b x) with step t,
+    by 70 bisection steps on the secular equation, all blocks at once.
+
+    In the eigenbasis of Q_b the prox scales component j of row b by
+    rho / (rho + t kappa_b lam_j) on lam_j > 0 and keeps it on lam_j = 0,
+    where rho solves sum_j lam_j xi_j^2 / (rho + t kappa_b lam_j)^2 = 1 on
+    [0, sqrt(sum_j lam_j xi_j^2)], or is 0 when the row shrinks onto the
+    null space of Q_b.
+    """
+    lam, U = np.linalg.eigh(Q)
+    lam = np.maximum(lam, 0.0)
+    tau = t * np.asarray(kappa, dtype=float)
+    xi0 = np.einsum("bkj,bk->bj", U, W)
+    pos = lam > 0.0
+    r0 = np.sqrt(np.sum(lam * xi0**2, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g0 = np.sum(
+            np.where(pos, xi0**2 / np.maximum(lam, 1e-300), 0.0), axis=1
+        ) / np.maximum(tau, 1e-300) ** 2
+    need = (r0 > 0.0) & (tau > 0.0) & (g0 > 1.0)
+    lo = np.zeros_like(r0)
+    hi = r0.copy()
+    tl = tau[:, None] * lam
+    num = lam * xi0**2
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        G = np.sum(num / np.maximum(mid[:, None] + tl, 1e-150) ** 2, axis=1)
+        right = G > 1.0
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    rho = np.where(need, 0.5 * (lo + hi), 0.0)
+    factor = np.where(
+        pos, rho[:, None] / np.maximum(rho[:, None] + tl, 1e-300), 1.0
+    )
+    factor = np.where(tau[:, None] > 0.0, factor, 1.0)
+    return np.einsum("bkj,bj->bk", U, xi0 * factor)

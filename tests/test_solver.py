@@ -7,14 +7,18 @@ from conftest import random_generic_dataset
 from oracles import (
     dykstra_reference,
     exhaustive_support_objective,
+    gauge_prox_bisection_reference,
     weak_duality_bound,
 )
 from relucells.arrangement import enumerate_cells
 from relucells.errors import InfeasibleError, PreconditionError
 from relucells.model import Dataset, predict_radon
-from relucells.potentials import PotentialKind
+from relucells.potentials import CellGauge, PotentialKind
 from relucells.solver import (
     LPInstance,
+    _bisect_root,
+    _GaugeProx,
+    _secular_root,
     SolverConfig,
     build_program,
     cone_violation,
@@ -279,3 +283,94 @@ def test_solution_json_roundtrip(ds3, dec3):
     payload = json.loads(sol.to_json())
     assert payload["objective"] == pytest.approx(sol.objective)
     assert np.array(payload["u"]) == pytest.approx(sol.u)
+
+
+def test_gauge_prox_matches_bisection():
+    rng = np.random.default_rng(8)
+    rank_deficient = 0
+    for n, d in [(3, 1), (6, 1), (3, 2), (5, 2), (5, 3)]:
+        ds = random_generic_dataset(rng, n, d)
+        dec = enumerate_cells(ds)
+        for kind in (PotentialKind.label_noise(ds),
+                     PotentialKind.label_noise_exact(ds)):
+            gauges = build_program(ds, dec, kind).gauges
+            # one more block whose gauge vanishes (kappa = 0)
+            gauges += (CellGauge(-1, gauges[0].Q, 0.0),)
+            prox = _GaugeProx(gauges)
+            Q = np.array([g.Q for g in gauges] * 2)
+            rank_deficient += int(np.sum(np.linalg.matrix_rank(Q) < d + 1))
+            tq = prox.kappa > 0.0
+            for trial in range(40):
+                t = 0.0 if trial == 0 else float(10.0 ** rng.uniform(-2, 1))
+                W = rng.normal(size=(len(Q), d + 1)) * 10.0 ** rng.uniform(
+                    -3, 2, size=(len(Q), 1))
+                if trial == 1:
+                    W[:] = 0.0
+                if trial == 2:  # small rows in the range of Q shrink to 0
+                    t = 1.0
+                    W = 1e-3 * np.einsum("bij,bj->bi", Q, W / np.max(np.abs(W)))
+                P = prox.prox(W, t)
+                scale = np.max(np.abs(W))
+                ref = gauge_prox_bisection_reference(Q, prox.kappa, W, t)
+                assert np.max(np.abs(P - ref)) <= 1e-14 * scale
+                if trial == 2:
+                    assert np.max(np.abs(P[tq])) <= 1e-14 * scale
+                if t == 0.0:
+                    assert np.max(np.abs(P - W)) <= 1e-14 * scale
+                # W - P = t kappa Q P / sqrt(P^T Q P) where P is off the
+                # null space of Q
+                gP = np.sqrt(np.maximum(np.einsum("bi,bij,bj->b", P, Q, P), 0.0))
+                on = tq & (gP > 1e-6 * scale)
+                grad = np.einsum("bij,bj->bi", Q[on], P[on]) / gP[on, None]
+                assert np.max(np.abs(W[on] - P[on] - t * prox.kappa[on, None] * grad),
+                              initial=0.0) <= 1e-10 * scale
+    assert rank_deficient > 0
+
+
+def test_bisection_fallback_finds_the_newton_root():
+    rng = np.random.default_rng(2)
+    num = rng.random((500, 3)) * 10.0 ** rng.uniform(-4, 4, size=(500, 1))
+    num[::4, 0] = 0.0  # a zero eigenvalue: no term, unit denominator
+    tl = np.where(num > 0.0, 10.0 ** rng.uniform(-3, 1, size=(500, 3)), 1.0)
+    has_root = np.sum(num / tl**2, axis=1) > 1.0
+    num, tl = num[has_root], tl[has_root]
+    assert _bisect_root(num, tl) == pytest.approx(_secular_root(num, tl), rel=1e-12)
+
+
+def _label_noise_solve(ds):
+    prog = build_program(ds, enumerate_cells(ds), PotentialKind.label_noise(ds))
+    return solve(prog)
+
+
+def test_label_noise_solves_pin_the_bisection_prox(monkeypatch, ds3):
+    datasets = [ds3, Dataset(*PLANE[5])]
+    shipped = [_label_noise_solve(ds) for ds in datasets]
+    init = _GaugeProx.__init__
+
+    def init_keeping_q(self, gauges):
+        init(self, gauges)
+        self.Q = np.array([g.Q for g in gauges] * 2)
+
+    monkeypatch.setattr(_GaugeProx, "__init__", init_keeping_q)
+    monkeypatch.setattr(
+        _GaugeProx, "prox",
+        lambda self, W, t: gauge_prox_bisection_reference(self.Q, self.kappa, W, t),
+    )
+    for ds, sol in zip(datasets, shipped):
+        ref = _label_noise_solve(ds)
+        assert sol.iterations == ref.iterations
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
+
+
+def test_penalized_certificate_fits_touched_walls(ds3, dec3):
+    # 4 of the 5 live blocks of this optimum rest on a cone wall, so the
+    # fit needs their normal-cone coefficients as well as the explicit
+    # multipliers
+    prog = build_program(ds3, dec3, PotentialKind.tv(), mode="penalized",
+                         lam=0.02)
+    sol = solve(prog)
+    assert sol.converged
+    cert = optimality_certificate(prog, sol)
+    assert cert["alignment_residual"] < 1e-5
+    assert cert["inactive_dual_bound"] < 1.0 + 1e-5
+    assert cert["normal_multiplier_min"] > -1e-6

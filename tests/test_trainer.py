@@ -4,8 +4,10 @@ import pytest
 from oracles import sgd_label_noise_reference
 from relucells import trainer
 from relucells.errors import ConvergenceError, PreconditionError
-from relucells.model import Dataset, Neuron, ParticleNetwork
-from relucells.potentials import v_tilde
+from relucells.arrangement import enumerate_cells
+from relucells.model import Dataset, Neuron, ParticleNetwork, predict_network, relu
+from relucells.potentials import PotentialKind, rescale_minimize, v_tilde
+from relucells.solver import build_program, solve
 from relucells.trainer import (
     TrainConfig,
     balancedness,
@@ -73,6 +75,33 @@ def test_implicit_lambda_duplication_invariance():
     assert implicit_lambda(doubled, ds) == pytest.approx(
         implicit_lambda(net, ds)
     )
+
+
+def test_implicit_lambda_bounds_the_label_noise_optimum(ds2):
+    # For an interpolating network, Lambda >= (1/m) sum_j 2 sqrt(A_j B_j)
+    # neuron by neuron (AM-GM over the rescaling orbit), and that orbit cost
+    # is the label-noise-exact cost of the network's measure, which the
+    # program minimises over every interpolating measure.
+    sol = solve(build_program(ds2, enumerate_cells(ds2),
+                              PotentialKind.label_noise_exact(ds2)))
+    assert sol.converged
+    assert sol.objective == pytest.approx(1.2199, abs=1e-4)
+    rng = np.random.default_rng(4)
+    checked = 0
+    for m in (2, 3, 10, 50, 200):
+        for _ in range(3):
+            A, b = rng.normal(size=(m, 1)), rng.normal(size=m)
+            act = relu(ds2.points @ A.T + b) / m
+            c = np.linalg.lstsq(act, ds2.targets, rcond=None)[0]
+            net = ParticleNetwork(A, b, c)
+            if not np.allclose(predict_network(net, ds2.points), ds2.targets,
+                               rtol=0.0, atol=1e-12):
+                continue  # the random hidden layer cannot interpolate
+            orbit = np.mean([rescale_minimize(nrn, ds2)[1] for nrn in net.neurons])
+            assert implicit_lambda(net, ds2) >= orbit
+            assert orbit >= sol.objective * (1.0 - 1e-6)
+            checked += 1
+    assert checked >= 12
 
 
 def test_objective_gradients_finite_difference(ds3):
