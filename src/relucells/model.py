@@ -178,14 +178,6 @@ class ParticleNetwork:
     def d(self) -> int:
         return self.A.shape[1]
 
-    @classmethod
-    def from_neurons(cls, neurons) -> "ParticleNetwork":
-        return cls(
-            np.array([nr.a for nr in neurons]),
-            np.array([nr.b for nr in neurons]),
-            np.array([nr.c for nr in neurons]),
-        )
-
     @property
     def neurons(self) -> list[Neuron]:
         return [Neuron(a, b, c) for a, b, c in zip(self.A, self.b, self.c)]

@@ -11,10 +11,11 @@ constraints, and minimisers put a single effective atom per cell, so
          u_s, v_s in cone_s
 
 is an exact finite reformulation. g_s is the per-cell gauge of the chosen
-potential. The constrained problem is solved by product-space
-Douglas-Rachford splitting (gauge prox / affine projection / cone
-projection); the penalized variant swaps the affine projection for a
-gradient step on the squared loss (Davis-Yin three-operator splitting).
+potential. Both modes run one product-space Douglas-Rachford loop (gauge
+prox / data step / cone projection). The data step w - A^T (A A^T + c I)^+
+(A w - y) projects onto the constraints with c = 0; with c = n lam / STEP
+it is the exact prox of (STEP / lam) h, h = ||A x - y||^2 / (2 n), so the
+loop minimises g + h / lam, whose minimisers are those of lam g + h.
 The gauge prox solves one secular equation per block by Newton's method,
 with bisection as the fallback.
 The cone projection is exact in every dimension: the projection onto a
@@ -46,15 +47,15 @@ ATOM_EPS_REL = 1e-6
 # the u and v atoms of one cell within this angle sit on one ray
 SAME_RAY_ANGLE = 1e-3
 
-# Stopping rule: the primal residual (constrained) or the scaled prox gap
-# (penalized) is below TOL_FEAS, and the objective moved by at most TOL_OBJ
-# (relative) over the last OBJ_WINDOW iterations, looked at every
-# CHECK_EVERY iterations.
+# Stopping rule: the primal residual (constrained) or the gap between the
+# multipliers read at the data step and at the cone step (penalized) is below
+# TOL_FEAS, and the objective moved by at most TOL_OBJ (relative) over the
+# last OBJ_WINDOW iterations, looked at every CHECK_EVERY iterations.
 TOL_FEAS = 1e-7
 TOL_OBJ = 1e-9
 OBJ_WINDOW = 100
 CHECK_EVERY = 10
-STEP = 1.0  # gauge prox step of the constrained splitting
+STEP = 1.0  # gauge prox step of the splitting
 RELAX = 0.85  # 0.5 is plain Douglas-Rachford
 
 
@@ -326,7 +327,7 @@ def _split(program: FiniteProgram, w: np.ndarray) -> np.ndarray:
 
 
 def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solution:
-    """Solve the finite program by operator splitting."""
+    """Solve the finite program by operator splitting (see _solve)."""
     config = config or SolverConfig()
     if program.n_blocks == 0:
         # no cell sees any datapoint; only y = 0 is representable
@@ -335,9 +336,7 @@ def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solutio
         z = np.zeros((0, program.k))
         return Solution(z, z, (), 0.0, 0.0, 0, True, program.mode,
                         program.lam, {})
-    if program.mode == "constrained":
-        return _solve_constrained(program, config)
-    return _solve_penalized(program, config)
+    return _solve(program, config)
 
 
 def _initial(program: FiniteProgram, config: SolverConfig) -> np.ndarray:
@@ -358,22 +357,37 @@ def _objective_settled(obj_hist: list[float]) -> bool:
     return abs(obj_hist[-1] - ref) <= TOL_OBJ * max(1.0, abs(ref))
 
 
-def _solve_constrained(program: FiniteProgram, config: SolverConfig) -> Solution:
-    A, y = program.A, program.y
+def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
+    """Relaxed product-space Douglas-Rachford on the gauges g, the data
+    term and the cone indicators, in both modes.
+
+    Constrained, the data term is the indicator of {A x = y}, whose prox is
+    the affine projection w - M (A w - y) with M = A^T (A A^T)^+. Penalized,
+    the loop minimises g + h / lam with h(x) = ||A x - y||^2 / (2 n), which
+    has the minimisers of lam g + h. The prox of (STEP / lam) h is exactly
+
+        w - A^T (A A^T + (n lam / STEP) I)^(-1) (A w - y),
+
+    the same affine step with a ridge of n lam / STEP on A A^T (ridge 0 when
+    constrained). The constrained loop stops on the primal residual, the
+    penalized one once the multipliers (y - A x) / (n lam) read at x2 and
+    at x3 agree to TOL_FEAS.
+    """
+    A, y, lam = program.A, program.y, program.lam
+    n = program.dataset.n
+    penalized = program.mode == "penalized"
     AAT = A @ A.T
-    AAT_pinv = np.linalg.pinv(AAT, rcond=1e-12)
-    M = A.T @ AAT_pinv
+    # a diagonal of sums of squares holds no -0.0, so ridge 0 changes no bit
+    AAT.flat[:: n + 1] += n * lam / STEP if penalized else 0.0
+    M = A.T @ np.linalg.pinv(AAT, rcond=1e-12)
 
-    # feasibility pre-pass: y must lie in the range of A
-    w_min = M @ y
-    gap = np.linalg.norm(A @ w_min - y)
-    if gap > 1e-8 * (1.0 + np.linalg.norm(y)):
-        raise InfeasibleError(
-            f"targets are not interpolable by the active cells (gap {gap:.3e})"
-        )
-
-    def proj_affine(w):
-        return w - M @ (A @ w - y)
+    if not penalized:
+        # feasibility pre-pass: y must lie in the range of A
+        gap = np.linalg.norm(A @ (M @ y) - y)
+        if gap > 1e-8 * (1.0 + np.linalg.norm(y)):
+            raise InfeasibleError(
+                f"targets are not interpolable by the active cells (gap {gap:.3e})"
+            )
 
     prox_g = _GaugeProx(program.gauges)
 
@@ -391,7 +405,7 @@ def _solve_constrained(program: FiniteProgram, config: SolverConfig) -> Solution
     while it < config.max_iters:
         it += 1
         x1 = prox_g.prox(_split(program, z1), STEP).ravel()
-        x2 = proj_affine(z2)
+        x2 = z2 - M @ (A @ z2 - y)
         x3 = project_cones(_split(program, z3), program.walls, program.faces).ravel()
         # relaxed product-space Douglas-Rachford step
         m = (2.0 * (x1 + x2 + x3) - (z1 + z2 + z3)) / 3.0
@@ -400,8 +414,14 @@ def _solve_constrained(program: FiniteProgram, config: SolverConfig) -> Solution
         z3 += r * (m - x3)
 
         if it % CHECK_EVERY == 0 or it == config.max_iters:
-            obj = prox_g.value(_split(program, x3))
-            res = float(np.linalg.norm(A @ x3 - y)) / yscale
+            reg = prox_g.value(_split(program, x3))
+            fit = A @ x3 - y
+            if penalized:
+                obj = 0.5 * float(fit @ fit) / n + lam * reg
+                res = float(np.linalg.norm(A @ (x3 - x2))) / (n * lam)
+            else:
+                obj = reg
+                res = float(np.linalg.norm(fit)) / yscale
             obj_hist.append(obj)
             if best is None or (res, obj) < best[:2]:
                 best = (res, obj, x3.copy())
@@ -410,67 +430,22 @@ def _solve_constrained(program: FiniteProgram, config: SolverConfig) -> Solution
                 best = (res, obj, x3.copy())
                 break
 
-    res, obj, x = best
+    _, obj, x = best
     W = _split(program, x)
     K = len(program.cells_used)
+    fit = A @ x - y
     diag = {
         "step": STEP,
         "cone_violation": cone_violation(W, program.signs, program.normals),
         "objective_checks": len(obj_hist),
     }
+    if penalized:
+        diag["data_term"] = 0.5 * float(fit @ fit) / n
+        diag["regulariser"] = prox_g.value(W)
     return Solution(
-        W[:K].copy(), W[K:].copy(), program.cells_used, obj, res, it,
-        converged, program.mode, program.lam, diag,
-    )
-
-
-def _solve_penalized(program: FiniteProgram, config: SolverConfig) -> Solution:
-    """Davis-Yin splitting: smooth data term + gauge prox + cone projection."""
-    A, y, lam = program.A, program.y, program.lam
-    n = program.dataset.n
-    L = float(np.linalg.norm(A, 2) ** 2) / n
-    t = 1.0 / max(L, 1e-12)
-    prox_g = _GaugeProx(program.gauges)
-
-    def grad_h(w):
-        return A.T @ (A @ w - y) / n
-
-    z = _initial(program, config)
-    obj_hist: list[float] = []
-    converged = False
-    it = 0
-    xB = z.copy()
-    while it < config.max_iters:
-        it += 1
-        xB = project_cones(_split(program, z), program.walls, program.faces).ravel()
-        xA = prox_g.prox(
-            _split(program, 2.0 * xB - z - t * grad_h(xB)), t * lam
-        ).ravel()
-        z += xA - xB
-
-        if it % CHECK_EVERY == 0 or it == config.max_iters:
-            data = 0.5 * float(np.sum((A @ xB - y) ** 2)) / n
-            reg = prox_g.value(_split(program, xB))
-            obj_hist.append(data + lam * reg)
-            gap = float(np.linalg.norm(xA - xB)) / (t * (1.0 + np.linalg.norm(xB)))
-            if gap < TOL_FEAS and _objective_settled(obj_hist):
-                converged = True
-                break
-
-    W = _split(program, xB)
-    K = len(program.cells_used)
-    data = 0.5 * float(np.sum((A @ xB - y) ** 2)) / n
-    reg = prox_g.value(W)
-    diag = {
-        "step": t,
-        "data_term": data,
-        "regulariser": reg,
-        "cone_violation": cone_violation(W, program.signs, program.normals),
-    }
-    return Solution(
-        W[:K].copy(), W[K:].copy(), program.cells_used, data + lam * reg,
-        float(np.linalg.norm(A @ xB - y)) / (1.0 + np.linalg.norm(y)),
-        it, converged, program.mode, program.lam, diag,
+        W[:K].copy(), W[K:].copy(), program.cells_used, obj,
+        float(np.linalg.norm(fit)) / yscale, it, converged, program.mode,
+        program.lam, diag,
     )
 
 

@@ -43,7 +43,8 @@ from .solver import LPInstance, build_program, extract_radon, lp_l1, solve
 from .trainer import TrainConfig, gd_weight_decay, objective_and_grads, sgd_label_noise
 
 
-def _random_generic_dataset(rng, n, d) -> Dataset:
+def random_generic_dataset(rng, n, d) -> Dataset:
+    """Gaussian points and targets, redrawn until the dataset is generic."""
     while True:
         ds = Dataset(rng.normal(size=(n, d)), rng.normal(size=n))
         if is_generic(ds):
@@ -58,7 +59,7 @@ def check_cell_count(rng, quick: bool) -> tuple[bool, str]:
     for _ in range(cases):
         d = int(rng.integers(1, 3 if quick else 4))
         n = int(rng.integers(2, 7 if quick else 9))
-        ds = _random_generic_dataset(rng, n, d)
+        ds = random_generic_dataset(rng, n, d)
         dec = enumerate_cells(ds)
         want = expected_cell_count(n, d)
         if dec.size != want:
@@ -84,7 +85,7 @@ def check_cell_count(rng, quick: bool) -> tuple[bool, str]:
 def check_relu_additivity(rng, quick: bool, inject: bool = False) -> tuple[bool, str]:
     """Same-cell parameter pairs satisfy per-datapoint ReLU additivity."""
     pairs = 1_000 if quick else 10_000
-    ds = _random_generic_dataset(rng, 4, 1)
+    ds = random_generic_dataset(rng, 4, 1)
     dec = enumerate_cells(ds)
     done = 0
     while done < pairs:
@@ -111,7 +112,7 @@ def check_relu_additivity(rng, quick: bool, inject: bool = False) -> tuple[bool,
 def check_convexity(rng, quick: bool) -> tuple[bool, str]:
     """Midpoint convexity of all three weights never reports a violation."""
     probes = 1_000 if quick else 10_000
-    ds = _random_generic_dataset(rng, 3, 1)
+    ds = random_generic_dataset(rng, 3, 1)
     lifted = ds.lifted
     # the orbit-minimized variant is only convex within one cell (its
     # active-set factor jumps across cell walls), so it is not probed here
@@ -188,7 +189,7 @@ def check_solver_lp(rng, quick: bool) -> tuple[bool, str]:
     trials = 2 if quick else 4
     for _ in range(trials):
         n = int(rng.integers(2, 4))
-        ds = _random_generic_dataset(rng, n, 1)
+        ds = random_generic_dataset(rng, n, 1)
         dec = enumerate_cells(ds)
         for kind in (PotentialKind.tv(), PotentialKind.label_noise(ds)):
             prog = build_program(ds, dec, kind)
@@ -238,7 +239,7 @@ def check_gradient_fd(rng, quick: bool) -> tuple[bool, str]:
     from hinges."""
     points = 100 if quick else 1_000
     h = 1e-6
-    ds = _random_generic_dataset(rng, 3, 1)
+    ds = random_generic_dataset(rng, 3, 1)
     cfg = TrainConfig(width=4, steps=1, step_size=0.1, decay=1e-2)
     checked = 0
     while checked < points:
@@ -277,7 +278,7 @@ def check_structure_preserving(rng, quick: bool) -> tuple[bool, str]:
     """Sphere projection and cell-mass merging preserve predictions and
     moments; merging never increases the regulariser."""
     merges = 100 if quick else 1_000
-    ds = _random_generic_dataset(rng, 3, 1)
+    ds = random_generic_dataset(rng, 3, 1)
     dec = enumerate_cells(ds)
     kinds = [PotentialKind.tv(), PotentialKind.label_noise(ds)]
     for i in range(merges):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from relucells.arrangement import enumerate_cells, is_generic
+from relucells.arrangement import enumerate_cells
 from relucells.model import Dataset
+from relucells.verify import random_generic_dataset  # noqa: F401  (tests import it from here)
 
 
 @pytest.fixture
@@ -19,10 +20,3 @@ def ds2():
 @pytest.fixture
 def dec3(ds3):
     return enumerate_cells(ds3)
-
-
-def random_generic_dataset(rng, n, d):
-    while True:
-        ds = Dataset(rng.normal(size=(n, d)), rng.normal(size=n))
-        if is_generic(ds):
-            return ds

@@ -47,6 +47,15 @@ PLANE = {
 }
 
 
+def _certified(prog, sol):
+    """The certificate of sol, after asserting its three thresholds."""
+    cert = optimality_certificate(prog, sol)
+    assert cert["alignment_residual"] < 1e-5
+    assert cert["inactive_dual_bound"] < 1.0 + 1e-5
+    assert cert["normal_multiplier_min"] > -1e-6
+    return cert
+
+
 def test_build_program_shapes(ds3, dec3):
     prog = build_program(ds3, dec3, PotentialKind.tv())
     K = len(prog.cells_used)
@@ -220,10 +229,7 @@ def test_plane_tv_solve_is_certified(seed):
     assert sol.converged
     nu = extract_radon(prog, sol)
     assert predict_radon(nu, points) == pytest.approx(targets, abs=1e-6)
-    cert = optimality_certificate(prog, sol)
-    assert cert["alignment_residual"] < 1e-5
-    assert cert["inactive_dual_bound"] < 1.0 + 1e-5
-    assert cert["normal_multiplier_min"] > -1e-6
+    cert = _certified(prog, sol)
     # the grid misses the dual peak by up to ~1e-3 relative
     bound = weak_duality_bound("tv", points, targets, cert["multipliers"])
     assert bound == pytest.approx(sol.objective, rel=1e-3)
@@ -239,10 +245,7 @@ def test_plane_label_noise_multipliers_reach_the_objective():
                              PotentialKind.label_noise(ds))
         sol = solve(prog)
         assert sol.converged
-        cert = optimality_certificate(prog, sol)
-        assert cert["alignment_residual"] < 1e-5
-        assert cert["inactive_dual_bound"] < 1.0 + 1e-5
-        assert cert["normal_multiplier_min"] > -1e-6
+        cert = _certified(prog, sol)
         bound = weak_duality_bound("label-noise", points, targets,
                                    cert["multipliers"])
         assert bound == pytest.approx(sol.objective, rel=1e-6)
@@ -269,10 +272,7 @@ def test_lp_l1_reproduces_solver_objective(ds3, dec3):
 def test_optimality_certificate(ds3, dec3):
     prog = build_program(ds3, dec3, PotentialKind.tv())
     sol = solve(prog)
-    cert = optimality_certificate(prog, sol)
-    assert cert["alignment_residual"] < 1e-5
-    assert cert["inactive_dual_bound"] < 1.0 + 1e-5
-    assert cert["normal_multiplier_min"] > -1e-6
+    _certified(prog, sol)
 
 
 def test_solution_json_roundtrip(ds3, dec3):
@@ -362,15 +362,40 @@ def test_label_noise_solves_pin_the_bisection_prox(monkeypatch, ds3):
         assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
 
 
-def test_penalized_certificate_fits_touched_walls(ds3, dec3):
+@pytest.mark.parametrize("lam", [0.02, 2e-3, 1e-3])
+def test_penalized_certificate_fits_touched_walls(ds3, dec3, lam):
     # 4 of the 5 live blocks of this optimum rest on a cone wall, so the
     # fit needs their normal-cone coefficients as well as the explicit
-    # multipliers
+    # multipliers (y - A x) / (n lam), which the stopping rule settles
     prog = build_program(ds3, dec3, PotentialKind.tv(), mode="penalized",
-                         lam=0.02)
+                         lam=lam)
     sol = solve(prog)
     assert sol.converged
-    cert = optimality_certificate(prog, sol)
-    assert cert["alignment_residual"] < 1e-5
-    assert cert["inactive_dual_bound"] < 1.0 + 1e-5
-    assert cert["normal_multiplier_min"] > -1e-6
+    _certified(prog, sol)
+
+
+def test_penalized_small_lambda_converges():
+    # d = 1, n = 5: a splitting with a gradient data step took over 300 000
+    # iterations here at lam = 1e-3
+    ds = Dataset(
+        np.array([[-0.8568499815689868], [-0.4490774845948892],
+                  [0.07514122771624178], [0.30258779611564257],
+                  [0.8245912191632616]]),
+        np.array([0.45731347451265264, -0.6238373883912377, -0.8896049884010534,
+                  -0.44939062070962893, 0.3151013452080408]),
+    )
+    prog = build_program(ds, enumerate_cells(ds), PotentialKind.tv(),
+                         mode="penalized", lam=1e-3)
+    sol = solve(prog, SolverConfig(max_iters=30_000))
+    assert sol.converged
+    _certified(prog, sol)
+
+
+@pytest.mark.parametrize("seed", [5, 1])
+def test_plane_penalized_tv_solve_is_certified(seed):
+    ds = Dataset(*PLANE[seed])
+    prog = build_program(ds, enumerate_cells(ds), PotentialKind.tv(),
+                         mode="penalized", lam=0.02)
+    sol = solve(prog)
+    assert sol.converged
+    _certified(prog, sol)
