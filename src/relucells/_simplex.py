@@ -19,6 +19,8 @@ import numpy as np
 from .errors import InfeasibleError, NumericalError
 
 PIVOT_EPS = 1e-10
+# pivot budget of one simplex phase
+MAX_PIVOTS = 100_000
 
 
 @dataclass
@@ -47,9 +49,9 @@ def _phase1_costs(T: np.ndarray, basis: list[int], n: int) -> None:
             T[-1] -= T[i]
 
 
-def _run_phase(T: np.ndarray, basis: list[int], ncols: int, max_pivots: int) -> str:
+def _run_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
     """Iterate Bland pivots on tableau T (objective in last row) in place."""
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS):
         obj = T[-1, :ncols]
         entering = -1
         for j in range(ncols):
@@ -77,12 +79,7 @@ def _run_phase(T: np.ndarray, basis: list[int], ncols: int, max_pivots: int) -> 
     raise RuntimeError("simplex exceeded pivot budget")
 
 
-def simplex(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    max_pivots: int = 100_000,
-) -> SimplexResult:
+def simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
     """Solve min c^T x s.t. Ax = b, x >= 0 by two-phase primal simplex."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).copy()
@@ -100,12 +97,12 @@ def simplex(
     T[:m, -1] = b
     basis = list(range(n, n + m))
     _phase1_costs(T, basis, n)
-    status = _run_phase(T, basis, n + m, max_pivots)
+    status = _run_phase(T, basis, n + m)
     if status == "unbounded":
         # phase 1 is bounded below by 0, so its cost row has drifted from
         # the tableau: rebuild it from the current basis and resume
         _phase1_costs(T, basis, n)
-        status = _run_phase(T, basis, n + m, max_pivots)
+        status = _run_phase(T, basis, n + m)
         if status == "unbounded":
             raise NumericalError("simplex phase 1 reported an unbounded ray")
     if status != "optimal" or T[-1, -1] < -1e-7:
@@ -127,7 +124,7 @@ def simplex(
         if basis[i] < n:
             T[-1] -= T[-1, basis[i]] * T[i]
     T[:, n : n + m] = 0.0  # freeze artificial columns
-    status = _run_phase(T, basis, n, max_pivots)
+    status = _run_phase(T, basis, n)
     if status == "unbounded":
         return SimplexResult("unbounded", np.zeros(n), -np.inf, basis)
 
@@ -155,10 +152,8 @@ def lp_min_l1(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return z, res.objective
 
 
-def max_margin(
-    rows: np.ndarray, signs: np.ndarray, box: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """max t s.t. signs[i] * <theta, rows[i]> >= t, ||theta||_inf <= box.
+def max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
+    """max t s.t. signs[i] * <theta, rows[i]> >= t, ||theta||_inf <= 1.
 
     theta is free; always feasible (theta = 0, t = 0). Returns (t*, theta*).
     Used as the cell-margin feasibility subproblem: a sign pattern carves a
@@ -177,15 +172,15 @@ def max_margin(
     A[:m, 2 * k] = -1.0
     A[:m, 2 * k + 1] = 1.0
     A[:m, 2 * k + 2 : 2 * k + 2 + m] = -np.eye(m)
-    # p - q <= box and q - p <= box
+    # p - q <= 1 and q - p <= 1
     A[m : m + k, :k] = np.eye(k)
     A[m : m + k, k : 2 * k] = -np.eye(k)
     A[m : m + k, 2 * k + 2 + m : 2 * k + 2 + m + k] = np.eye(k)
-    b[m : m + k] = box
+    b[m : m + k] = 1.0
     A[m + k :, :k] = -np.eye(k)
     A[m + k :, k : 2 * k] = np.eye(k)
     A[m + k :, 2 * k + 2 + m + k :] = np.eye(k)
-    b[m + k :] = box
+    b[m + k :] = 1.0
     c = np.zeros(nvar)
     c[2 * k] = -1.0
     c[2 * k + 1] = 1.0

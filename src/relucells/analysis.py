@@ -116,20 +116,17 @@ def _ray_table(obj) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
 def effective_support(
     obj,
     decomp: CellDecomposition,
-    tau_mass: float | None = None,
     tau_angle: float = TAU_ANGLE_SOLVER,
 ) -> EffectiveSupport:
     """Cluster the mass-carrying rays of a measure or network per cell.
 
-    Atoms with Radon mass at most tau_mass (default TAU_MASS_REL of the
-    total) are dropped; survivors are located in the decomposition and
-    single-linkage clustered at tau_angle within each cell. A group's
-    representative is the absolute-mass-weighted mean direction.
+    Atoms with Radon mass at most tau_mass = TAU_MASS_REL of the total are
+    dropped; survivors are located in the decomposition and single-linkage
+    clustered at tau_angle within each cell. A group's representative is
+    the absolute-mass-weighted mean direction.
     """
     dirs, z, members = _ray_table(obj)
-    total = float(np.sum(np.abs(z)))
-    if tau_mass is None:
-        tau_mass = TAU_MASS_REL * total
+    tau_mass = TAU_MASS_REL * float(np.sum(np.abs(z)))
     keep = np.flatnonzero(np.abs(z) > tau_mass)
     dirs, z = dirs[keep], z[keep]
     members = [members[i] for i in keep]
@@ -165,18 +162,14 @@ def effective_support(
     )
 
 
-def support_count(obj, tau_mass: float | None = None,
-                  tau_angle: float = TAU_ANGLE_TRAINED) -> int:
+def support_count(obj, tau_angle: float = TAU_ANGLE_TRAINED) -> int:
     """Ray count without a cell decomposition: global angular clustering.
 
     Lightweight diagnostic for training traces; the cell-aware count from
     effective_support refines this.
     """
     dirs, z, _ = _ray_table(obj)
-    total = float(np.sum(np.abs(z)))
-    if tau_mass is None:
-        tau_mass = TAU_MASS_REL * total
-    keep = np.abs(z) > tau_mass
+    keep = np.abs(z) > TAU_MASS_REL * float(np.sum(np.abs(z)))
     return len(cluster_directions(dirs[keep], tau_angle))
 
 

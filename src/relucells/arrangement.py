@@ -99,18 +99,15 @@ def _dedup_hyperplanes(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(uniq), rep
 
 
-def enumerate_cells(
-    dataset: Dataset, max_cells: int = MAX_CELLS_GUARD
-) -> CellDecomposition:
+def enumerate_cells(dataset: Dataset) -> CellDecomposition:
     """Enumerate all full-dimensional cells by incremental insertion."""
     lifted = dataset.lifted
     d = dataset.d
     uniq, rep = _dedup_hyperplanes(lifted)
     bound = expected_cell_count(uniq.shape[0], d)
-    if bound > max_cells:
+    if bound > MAX_CELLS_GUARD:
         raise PreconditionError(
-            f"formula bound {bound} exceeds guard {max_cells}; "
-            "raise max_cells to override"
+            f"formula bound {bound} exceeds guard {MAX_CELLS_GUARD}"
         )
 
     # grow sign patterns one hyperplane at a time from the empty pattern,

@@ -110,8 +110,7 @@ def _radon_to_csv(nu: RadonMeasure, path: Path) -> None:
     np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def cmd_cells(args, parser) -> int:
-    args = _merge_config(args, parser)
+def cmd_cells(args) -> int:
     ds = load_dataset_csv(args.dataset)
     t0 = time.perf_counter()
     dec = enumerate_cells(ds)
@@ -133,8 +132,7 @@ def cmd_cells(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args, parser) -> int:
-    args = _merge_config(args, parser)
+def cmd_solve(args) -> int:
     ds = load_dataset_csv(args.dataset)
     kind = PotentialKind.from_flag(args.potential, ds)
     dec = enumerate_cells(ds)
@@ -178,8 +176,7 @@ def cmd_solve(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, parser) -> int:
-    args = _merge_config(args, parser)
+def cmd_train(args) -> int:
     ds = load_dataset_csv(args.dataset)
     cfg = TrainConfig(
         width=args.width,
@@ -217,8 +214,7 @@ def cmd_train(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args, parser) -> int:
-    args = _merge_config(args, parser)
+def cmd_analyze(args) -> int:
     ds = load_dataset_csv(args.dataset)
     dec = enumerate_cells(ds)
     support = _load_support(args.input, ds, dec, args.tau_angle)
@@ -236,8 +232,7 @@ def cmd_analyze(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args, parser) -> int:
-    args = _merge_config(args, parser)
+def cmd_compare(args) -> int:
     ds = load_dataset_csv(args.dataset)
     dec = enumerate_cells(ds)
     s1 = _load_support(args.input_a, ds, dec, args.tau_angle)
@@ -256,8 +251,7 @@ def cmd_compare(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, parser) -> int:
-    args = _merge_config(args, parser)
+def cmd_verify(args) -> int:
     passed, results = run_suite(
         seed=args.seed, quick=args.quick, inject_failure=args.inject_failure
     )
@@ -350,7 +344,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, args.parser)
+        return args.fn(_merge_config(args, args.parser))
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

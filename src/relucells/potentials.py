@@ -10,6 +10,8 @@ V(a, b, c) = |c| w(a, b):
     of the raw implicit potential, which carries an extra active-set factor
     2 sqrt(E_D[(1 + |x|^2) chi]); see rescale_minimize.
 
+All label-noise quantities are means of the two tables of second_moments.
+
 Restricted to one cell of the arrangement, each weight is the gauge
 g(v) = kappa * sqrt(v^T Q v) of a quadratic form, which is what the
 finite solver consumes.
@@ -67,66 +69,61 @@ class PotentialKind:
         return cls(variant, dataset if variant is not Variant.TV else None)
 
 
-def weight_tv(a, b: float) -> float:
-    """Euclidean norm of (a, b)."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    return float(np.sqrt(a @ a + b * b))
+def second_moments(points: np.ndarray, A: np.ndarray, b):
+    """The (n, k) tables relu(pre)^2 and (1 + |x|^2) 1[pre >= 0].
 
-
-def weight_label_noise(a, b: float, dataset: Dataset) -> float:
-    """sqrt of the dataset average of relu(a.x + b)^2."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    pre = dataset.points @ a + b
-    return float(np.sqrt(np.mean(relu(pre) ** 2)))
-
-
-def _active_second_moments(neuron: Neuron, dataset: Dataset) -> tuple[float, float]:
-    """A = E_D[relu(a.x+b)^2], B = c^2 E_D[(1+|x|^2) chi_{a.x+b>=0}]."""
-    pre = dataset.points @ neuron.a + neuron.b
-    active = pre >= 0.0
-    A = float(np.mean(relu(pre) ** 2))
-    B = neuron.c**2 * float(
-        np.mean((1.0 + np.sum(dataset.points**2, axis=1)) * active)
-    )
-    return A, B
-
-
-def v_tilde(neuron: Neuron, dataset: Dataset) -> float:
-    """Raw implicit potential E_D[relu(a.x+b)^2 + (1+|x|^2) c^2 chi_{a.x+b>=0}].
-
-    Equals the dataset average of the squared parameter gradient of the
-    neuron output (the integrand of the implicit regulariser).
+    pre = points @ A.T + b, the trainer's preactivation form: row i is the
+    datapoint x_i, column j the inner parameters (A[j], b[j]). Every
+    label-noise quantity is a mean of these two tables.
     """
-    A, B = _active_second_moments(neuron, dataset)
-    return A + B
+    pre = points @ A.T + b
+    sq = 1.0 + np.sum(points**2, axis=1)
+    return relu(pre) ** 2, sq[:, None] * (pre >= 0.0)
 
 
 def rescale_minimize(neuron: Neuron, dataset: Dataset) -> tuple[float, float]:
-    """Minimise v_tilde over the degeneracy orbit (la, lb, c/l), l > 0.
+    """Minimise the raw implicit potential over the orbit (la, lb, c/l), l > 0.
 
-    The active-set indicator is orbit-invariant, so the objective is
-    l^2 A + B / l^2 with minimiser l* = (B/A)^{1/4} and value 2 sqrt(A B).
+    With A = E_D[relu(a.x+b)^2] and B = c^2 E_D[(1+|x|^2) 1[a.x+b >= 0]]
+    (the indicator is orbit-invariant) the objective is l^2 A + B / l^2,
+    with minimiser l* = (B/A)^{1/4} and value 2 sqrt(A B).
     Returns (l*, value); (1, 0) when the neuron is inactive on the dataset.
     """
-    A, B = _active_second_moments(neuron, dataset)
+    R, S = second_moments(dataset.points, neuron.a[None, :], neuron.b)
+    A = float(np.mean(R))
+    B = neuron.c**2 * float(np.mean(S))
     if A <= 0.0 or B <= 0.0:
         return 1.0, 0.0
     return float((B / A) ** 0.25), float(2.0 * np.sqrt(A * B))
 
 
-def potential(kind: PotentialKind, neuron: Neuron) -> float:
-    """V(a, b, c) for the selected variant."""
+def weight(kind: PotentialKind, theta: np.ndarray) -> float | np.ndarray:
+    """The 1-homogeneous weight w(a, b) with c split off (c = 1).
+
+    theta is one (d+1)-vector, giving a float, or a (k, d+1) batch, giving
+    a (k,) array. Label-noise weights are sqrt(A) and 2 sqrt(A S), with
+    A and S the column means of the second_moments tables.
+    """
+    theta = np.asarray(theta, dtype=float)
+    batch = np.atleast_2d(theta)
     if kind.variant is Variant.TV:
-        return abs(neuron.c) * weight_tv(neuron.a, neuron.b)
-    if kind.variant is Variant.LABEL_NOISE_PAPER:
-        return abs(neuron.c) * weight_label_noise(neuron.a, neuron.b, kind.dataset)
-    return rescale_minimize(neuron, kind.dataset)[1]
+        w = np.sqrt(np.sum(batch**2, axis=1))
+    else:
+        # column-major tables sum each column in the order of a lone theta,
+        # which keeps d=1 batch rows bit-identical to single calls
+        R, S = map(np.asfortranarray, second_moments(
+            kind.dataset.points, batch[:, :-1], batch[:, -1]))
+        A = np.mean(R, axis=0)
+        if kind.variant is Variant.LABEL_NOISE_PAPER:
+            w = np.sqrt(A)
+        else:
+            w = 2.0 * np.sqrt(A * np.mean(S, axis=0))
+    return w if theta.ndim == 2 else float(w[0])
 
 
-def weight(kind: PotentialKind, theta: np.ndarray) -> float:
-    """The 1-homogeneous weight w(a, b) with c split off (c = 1)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    return potential(kind, Neuron(theta[:-1], theta[-1], 1.0))
+def potential(kind: PotentialKind, neuron: Neuron) -> float:
+    """V(a, b, c) = |c| w(a, b) for the selected variant."""
+    return abs(neuron.c) * weight(kind, neuron.theta)
 
 
 @dataclass(frozen=True)

@@ -514,7 +514,7 @@ class LPInstance:
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
         if kind is not None:
-            w = np.array([weight(kind, th) for th in dirs])
+            w = weight(kind, dirs)
             if np.any(w <= 0.0):
                 raise PreconditionError(
                     "cannot weight-normalize a direction with zero weight"

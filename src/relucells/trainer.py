@@ -27,6 +27,7 @@ import numpy as np
 from .analysis import support_count
 from .errors import ConvergenceError, PreconditionError
 from .model import Dataset, Neuron, ParticleNetwork, relu
+from .potentials import second_moments
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -96,23 +97,15 @@ def grad_phi_sq(neuron: Neuron, x) -> float:
     |grad_{(a,b,c)} c relu(a.x + b)|^2
         = c^2 (1 + |x|^2) 1[a.x + b >= 0] + relu(a.x + b)^2.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    pre = float(neuron.a @ x + neuron.b)
-    active = 1.0 if pre >= 0.0 else 0.0
-    return neuron.c**2 * (1.0 + float(x @ x)) * active + relu(pre) ** 2
-
-
-def _grad_phi_sq_matrix(net: ParticleNetwork, dataset: Dataset) -> np.ndarray:
-    """(n, m) table of grad_phi_sq(theta_j, x_i)."""
-    pre = dataset.points @ net.A.T + net.b
-    active = (pre >= 0.0).astype(float)
-    sq = 1.0 + np.sum(dataset.points**2, axis=1)
-    return net.c**2 * sq[:, None] * active + relu(pre) ** 2
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    R, S = second_moments(x, neuron.a[None, :], neuron.b)
+    return float(neuron.c**2 * S[0, 0] + R[0, 0])
 
 
 def implicit_lambda(net: ParticleNetwork, dataset: Dataset) -> float:
-    """(1/m) sum_j E_D[grad_phi_sq(theta_j, x)]."""
-    return float(np.mean(_grad_phi_sq_matrix(net, dataset)))
+    """(1/m) sum_j E_D[grad_phi_sq(theta_j, x)], in one (n, m) pass."""
+    R, S = second_moments(dataset.points, net.A, net.b)
+    return float(np.mean(net.c**2 * S + R))
 
 
 def network_to_json(net: ParticleNetwork) -> str:
@@ -206,7 +199,10 @@ def _streams(seed: int):
     )
 
 
-def _record(trace_rows, step, net, dataset, loss, reg, gnorm):
+def _record(trace_rows, step, net, dataset, loss, reg, grads):
+    """Append one trace row; grads are the objective gradients (gA, gb, gc)."""
+    gA, gb, gc = grads
+    gnorm = float(np.sqrt(np.sum(gA**2) + np.sum(gb**2) + np.sum(gc**2)))
     lam_val = implicit_lambda(net, dataset)
     supp = support_count(net)
     trace_rows.append((step, loss, lam_val, reg, supp, gnorm))
@@ -258,10 +254,7 @@ def gd_weight_decay(
         _check_divergence(obj, initial_loss, step)
         if step % config.record_stride == 0 or step == config.steps:
             net = ParticleNetwork(A.copy(), b.copy(), c.copy())
-            gnorm = float(
-                np.sqrt(np.sum(gA**2) + np.sum(gb**2) + np.sum(gc**2))
-            )
-            _record(trace_rows, step, net, dataset, loss, reg, gnorm)
+            _record(trace_rows, step, net, dataset, loss, reg, (gA, gb, gc))
         if step == config.steps:
             break
         A = A - eps * gA
@@ -326,11 +319,8 @@ def sgd_label_noise(
             if initial_loss is None:
                 initial_loss = max(loss, 1e-12)
             _check_divergence(loss, initial_loss, step)
-            gnorm = float(
-                np.sqrt(np.sum(gA**2) + np.sum(gb**2) + np.sum(gc**2))
-            )
             _record(trace_rows, step, ParticleNetwork(A, b, c), dataset,
-                    loss, reg, gnorm)
+                    loss, reg, (gA, gb, gc))
         if step == config.steps:
             break
 

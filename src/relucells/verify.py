@@ -35,7 +35,6 @@ from .model import (
 from .potentials import (
     PotentialKind,
     effective_convexity_test,
-    potential,
     rescale_minimize,
     weight,
 )
@@ -313,13 +312,9 @@ def check_structure_preserving(rng, quick: bool) -> tuple[bool, str]:
         ):
             return False, "merge changed the cell moments"
         kind = kinds[i % 2]
-        before = sum(
-            p * potential(kind, Neuron(a, b, c))
-            for a, b, c, p in zip(mu.A, mu.b, mu.c, mu.p)
-        )
-        after = sum(
-            p * potential(kind, Neuron(a, b, c))
-            for a, b, c, p in zip(merged.A, merged.b, merged.c, merged.p)
+        before, after = (
+            float(np.sum(m.p * np.abs(m.c) * weight(kind, m.thetas)))
+            for m in (mu, merged)
         )
         if after > before + 1e-10 * max(1.0, before):
             return False, f"merge increased the regulariser ({before} -> {after})"

@@ -155,10 +155,7 @@ def sgd_label_noise_reference(dataset, config):
             if initial_loss is None:
                 initial_loss = max(loss, 1e-12)
             _check_divergence(loss, initial_loss, step)
-            gnorm = float(
-                np.sqrt(np.sum(gA**2) + np.sum(gb**2) + np.sum(gc**2))
-            )
-            _record(trace_rows, step, net, dataset, loss, reg, gnorm)
+            _record(trace_rows, step, net, dataset, loss, reg, (gA, gb, gc))
         if step == config.steps:
             break
 

@@ -4,7 +4,8 @@ import pytest
 from conftest import random_generic_dataset
 from oracles import grid_orbit_minimum
 from relucells.errors import PreconditionError
-from relucells.model import Dataset, Neuron, rescale
+from relucells.arrangement import enumerate_cells
+from relucells.model import Dataset, Neuron, ParticleNetwork, rescale
 from relucells.potentials import (
     PotentialKind,
     Variant,
@@ -13,22 +14,42 @@ from relucells.potentials import (
     effective_convexity_test,
     potential,
     rescale_minimize,
-    v_tilde,
     weight,
-    weight_label_noise,
-    weight_tv,
 )
+from relucells.trainer import implicit_lambda
+
+
+def _kinds(ds):
+    return [
+        PotentialKind.tv(),
+        PotentialKind.label_noise(ds),
+        PotentialKind.label_noise_exact(ds),
+    ]
 
 
 def test_weight_tv():
-    assert weight_tv([3.0], 4.0) == pytest.approx(5.0)
+    assert weight(PotentialKind.tv(), [3.0, 4.0]) == pytest.approx(5.0)
 
 
 def test_weight_label_noise_single_point():
     ds = Dataset(np.array([[1.0]]), np.array([0.0]))
-    assert weight_label_noise([1.0], 0.0, ds) == pytest.approx(1.0)
+    kind = PotentialKind.label_noise(ds)
+    assert weight(kind, [1.0, 0.0]) == pytest.approx(1.0)
     # inactive direction has zero weight
-    assert weight_label_noise([-1.0], 0.0, ds) == pytest.approx(0.0)
+    assert weight(kind, [-1.0, 0.0]) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("n, d", [(40, 1), (30, 2)])
+def test_batched_weight_matches_single(n, d):
+    rng = np.random.default_rng(n + d)
+    ds = Dataset(rng.normal(size=(n, d)), rng.normal(size=n))
+    thetas = rng.normal(size=(25, d + 1))
+    thetas[0, -1] = -50.0  # inactive on every point: zero label-noise weight
+    for kind in _kinds(ds):
+        batch = weight(kind, thetas)
+        assert batch.shape == (25,)
+        single = np.array([weight(kind, th) for th in thetas])
+        np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
 
 
 def test_potential_values():
@@ -86,12 +107,15 @@ def test_rescale_minimize_orbit_invariant():
         assert v1 == pytest.approx(v0)
 
 
-def test_v_tilde_orbit_objective():
+def test_implicit_lambda_orbit_objective():
     ds = Dataset(np.array([[1.0]]), np.array([0.0]))
     nrn = Neuron([1.0], 0.0, 1.0)
-    # orbit objective lam^2 A + B / lam^2 with A=1, B=2
+    # a width-1 network's Lambda is the orbit objective lam^2 A + B / lam^2,
+    # here with A=1, B=2
     for lam in (0.5, 1.0, 2.0):
-        assert v_tilde(rescale(nrn, lam), ds) == pytest.approx(
+        r = rescale(nrn, lam)
+        net = ParticleNetwork(r.a[None, :], np.array([r.b]), np.array([r.c]))
+        assert implicit_lambda(net, ds) == pytest.approx(
             lam**2 + 2.0 / lam**2
         )
 
@@ -104,22 +128,19 @@ def test_cell_gauge_tv(dec3):
 
 def test_cell_gauge_matches_potential_on_cell(ds3, dec3):
     rng = np.random.default_rng(2)
-    kinds = [
-        PotentialKind.tv(),
-        PotentialKind.label_noise(ds3),
-        PotentialKind.label_noise_exact(ds3),
-    ]
-    for kind in kinds:
-        for i, cell in enumerate(dec3.cells):
-            g = cell_gauge(kind, dec3, i)
-            for _ in range(5):
-                c = rng.normal()
-                t = 0.5 + rng.random()
-                theta = t * cell.witness
-                nrn = Neuron(theta[:1], theta[1], c)
-                assert g(c * theta) == pytest.approx(
-                    potential(kind, nrn), abs=1e-12
-                )
+    ds_plane = random_generic_dataset(np.random.default_rng(5), 4, 2)
+    for ds, dec in ((ds3, dec3), (ds_plane, enumerate_cells(ds_plane))):
+        for kind in _kinds(ds):
+            for i, cell in enumerate(dec.cells):
+                g = cell_gauge(kind, dec, i)
+                for _ in range(5):
+                    c = rng.normal()
+                    t = 0.5 + rng.random()
+                    theta = t * cell.witness
+                    nrn = Neuron(theta[:-1], theta[-1], c)
+                    assert g(c * theta) == pytest.approx(
+                        potential(kind, nrn), abs=1e-12
+                    )
 
 
 def test_cell_gauge_empty_active_set(ds3, dec3):

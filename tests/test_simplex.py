@@ -84,6 +84,7 @@ def test_max_margin_infeasible_signs():
 
 
 def test_max_margin_box_bound():
-    t, theta = max_margin(np.array([[1.0, 0.0]]), np.array([1.0]), box=0.5)
-    assert t == pytest.approx(0.5)
-    assert np.max(np.abs(theta)) <= 0.5 + 1e-12
+    # the unit infinity-norm box caps the margin of one hyperplane at 1
+    t, theta = max_margin(np.array([[1.0, 0.0]]), np.array([1.0]))
+    assert t == pytest.approx(1.0)
+    assert np.max(np.abs(theta)) <= 1.0 + 1e-12

@@ -6,7 +6,7 @@ from relucells import trainer
 from relucells.errors import ConvergenceError, PreconditionError
 from relucells.arrangement import enumerate_cells
 from relucells.model import Dataset, Neuron, ParticleNetwork, predict_network, relu
-from relucells.potentials import PotentialKind, rescale_minimize, v_tilde
+from relucells.potentials import PotentialKind, rescale_minimize
 from relucells.solver import build_program, solve
 from relucells.trainer import (
     TrainConfig,
@@ -53,14 +53,20 @@ def test_grad_phi_sq_finite_difference():
 
 def test_implicit_lambda_is_mean_of_orbit_objective():
     rng = np.random.default_rng(3)
-    ds = Dataset(rng.normal(size=(4, 1)), rng.normal(size=4))
-    net = ParticleNetwork(rng.normal(size=(3, 1)), rng.normal(size=3),
+    ds = Dataset(rng.normal(size=(4, 2)), rng.normal(size=4))
+    net = ParticleNetwork(rng.normal(size=(3, 2)), rng.normal(size=3),
                           rng.normal(size=3))
-    want = np.mean([
-        v_tilde(Neuron(net.A[j], net.b[j], net.c[j]), ds)
-        for j in range(3)
-    ])
-    assert implicit_lambda(net, ds) == pytest.approx(want)
+    # each width-1 network's Lambda is the raw potential
+    # E_D[relu(a.x+b)^2 + c^2 (1+|x|^2) 1[a.x+b >= 0]] of its neuron
+    sq = 1.0 + np.sum(ds.points**2, axis=1)
+    per_neuron = []
+    for j in range(3):
+        pre = ds.points @ net.A[j] + net.b[j]
+        want = np.mean(relu(pre) ** 2 + net.c[j] ** 2 * sq * (pre >= 0.0))
+        single = ParticleNetwork(net.A[j:j + 1], net.b[j:j + 1], net.c[j:j + 1])
+        assert implicit_lambda(single, ds) == pytest.approx(want)
+        per_neuron.append(want)
+    assert implicit_lambda(net, ds) == pytest.approx(np.mean(per_neuron))
 
 
 def test_implicit_lambda_duplication_invariance():
