@@ -1,13 +1,17 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Dense primal simplex with Bland's rule.
 
 Shared kernel for the l1 linear program and for the cell-margin
 feasibility subproblems of the arrangement builder. Standard form:
 
     min c^T x   s.t.   A x = b,  x >= 0.
 
+`simplex` runs two phases: phase 1 finds a feasible basis from artificial
+variables. `max_margin` needs no phase 1: its tableau is built in canonical
+form, whose slack columns are a feasible starting basis (theta = 0, t = 0).
 Bland's rule (smallest eligible index enters, smallest-index tie break on
-the ratio test) guarantees termination without cycling. Instances here are
-small and dense; no effort is made to exploit sparsity.
+the ratio test) guarantees termination without cycling, also from the
+degenerate slack basis (Bland 1977). Instances here are small and dense;
+no effort is made to exploit sparsity.
 """
 
 from __future__ import annotations
@@ -79,6 +83,15 @@ def _run_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
     raise RuntimeError("simplex exceeded pivot budget")
 
 
+def _optimum(T: np.ndarray, basis: list[int], c: np.ndarray) -> SimplexResult:
+    """Read the basic solution of an optimal tableau over the columns of c."""
+    x = np.zeros(c.shape[0])
+    for i, bi in enumerate(basis):
+        if bi < c.shape[0]:
+            x[bi] = T[i, -1]
+    return SimplexResult("optimal", x, float(c @ x), basis)
+
+
 def simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
     """Solve min c^T x s.t. Ax = b, x >= 0 by two-phase primal simplex."""
     A = np.asarray(A, dtype=float)
@@ -127,12 +140,7 @@ def simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
     status = _run_phase(T, basis, n)
     if status == "unbounded":
         return SimplexResult("unbounded", np.zeros(n), -np.inf, basis)
-
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = T[i, -1]
-    return SimplexResult("optimal", x, float(c @ x), basis)
+    return _optimum(T, basis, c)
 
 
 def lp_min_l1(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -155,37 +163,42 @@ def lp_min_l1(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 def max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
     """max t s.t. signs[i] * <theta, rows[i]> >= t, ||theta||_inf <= 1.
 
-    theta is free; always feasible (theta = 0, t = 0). Returns (t*, theta*).
-    Used as the cell-margin feasibility subproblem: a sign pattern carves a
-    full-dimensional cone iff t* > 0.
+    theta is free; theta = 0, t = 0 is feasible, and the tableau is built in
+    canonical form around that point: every row has its own slack with
+    coefficient +1 and a right-hand side of 0 (margin rows) or 1 (box rows).
+    Bland pivots start from that all-slack basis on the original cost, with
+    no phase 1. Returns (t*, theta*). Used as the cell-margin feasibility
+    subproblem: a sign pattern carves a full-dimensional cone iff t* > 0.
     """
     rows = np.asarray(rows, dtype=float)
     signs = np.asarray(signs, dtype=float)
     m, k = rows.shape
-    # variables: p(k), q(k), t+, t-, slack_margin(m), slack_box(2k)
+    # variables: p(k), q(k), t+, t-, slack_margin(m), slack_box(2k), with
+    # theta = p - q and t = t+ - t-
     nvar = 2 * k + 2 + m + 2 * k
-    A = np.zeros((m + 2 * k, nvar))
-    b = np.zeros(m + 2 * k)
+    T = np.zeros((m + 2 * k + 1, nvar + 1))
     S = signs[:, None] * rows
-    A[:m, :k] = S
-    A[:m, k : 2 * k] = -S
-    A[:m, 2 * k] = -1.0
-    A[:m, 2 * k + 1] = 1.0
-    A[:m, 2 * k + 2 : 2 * k + 2 + m] = -np.eye(m)
-    # p - q <= 1 and q - p <= 1
-    A[m : m + k, :k] = np.eye(k)
-    A[m : m + k, k : 2 * k] = -np.eye(k)
-    A[m : m + k, 2 * k + 2 + m : 2 * k + 2 + m + k] = np.eye(k)
-    b[m : m + k] = 1.0
-    A[m + k :, :k] = -np.eye(k)
-    A[m + k :, k : 2 * k] = np.eye(k)
-    A[m + k :, 2 * k + 2 + m + k :] = np.eye(k)
-    b[m + k :] = 1.0
+    # t - signs[i] * <theta, rows[i]> + slack_i = 0
+    T[:m, :k] = -S
+    T[:m, k : 2 * k] = S
+    T[:m, 2 * k] = 1.0
+    T[:m, 2 * k + 1] = -1.0
+    # p - q + slack = 1 and q - p + slack = 1
+    T[m : m + k, :k] = np.eye(k)
+    T[m : m + k, k : 2 * k] = -np.eye(k)
+    T[m + k : -1, :k] = -np.eye(k)
+    T[m + k : -1, k : 2 * k] = np.eye(k)
+    T[:-1, 2 * k + 2 : nvar] = np.eye(m + 2 * k)
+    T[m:-1, -1] = 1.0
+    # min t- - t+; zero on the slacks, so already reduced for their basis
     c = np.zeros(nvar)
     c[2 * k] = -1.0
     c[2 * k + 1] = 1.0
-    res = simplex(c, A, b)
-    if res.status != "optimal":  # cannot happen: feasible and bounded
-        raise NumericalError(f"margin subproblem returned {res.status}")
+    T[-1, :nvar] = c
+    basis = list(range(2 * k + 2, nvar))
+    status = _run_phase(T, basis, nvar)
+    if status != "optimal":  # cannot happen: feasible and bounded
+        raise NumericalError(f"margin subproblem returned {status}")
+    res = _optimum(T, basis, c)
     theta = res.x[:k] - res.x[k : 2 * k]
     return -res.objective, theta

@@ -4,10 +4,11 @@ Every datapoint x_i induces the hyperplane {theta : <theta, x~_i> = 0} in
 the lifted parameter space R^{d+1}. The full-dimensional regions of this
 arrangement are closed convex cones ("cells"); two inner-layer parameters
 lie in the same cell iff they activate the same datapoints. Enumeration is
-by incremental insertion from the empty sign pattern, with one
-margin-maximization LP per candidate sign extension. A cell's witness and
-margin are those of the LP that admitted its full pattern; no cell is
-solved twice.
+by incremental insertion from the empty sign pattern. A candidate sign
+extension is admitted by a margin-maximization LP, except on the side of
+the new hyperplane that holds its parent's witness, which that witness
+already proves. A cell's witness and margin are those of the LP that
+admitted its full pattern; no cell is solved twice.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class CellDecomposition:
     cells: tuple
     lifted: np.ndarray  # (n, d+1) dataset lift the cells were built from
     generic: bool  # dataset in general position (rank test)
+    margin_lps: int  # max_margin solves the enumeration made
     lookup: dict = field(repr=False)
 
     @property
@@ -111,17 +113,30 @@ def enumerate_cells(dataset: Dataset) -> CellDecomposition:
         )
 
     # grow sign patterns one hyperplane at a time from the empty pattern,
-    # keeping each with the (margin, witness) of the LP that admitted it
-    partial: dict[tuple, tuple] = {(): (0.0, None)}
-    for h in range(uniq.shape[0]):
+    # keeping each with a (margin, witness) pair that proves it a cell. A
+    # parent's witness theta with margin t lies strictly on one side of the
+    # new hyperplane, at margin min(t, |v|) for v = <x~_h, theta>: that child
+    # needs no LP, since its LP would reach at least that margin. The last
+    # level solves both children, so each cell keeps the (margin, witness)
+    # of the LP that admitted its full pattern.
+    n_u = uniq.shape[0]
+    partial: dict[tuple, tuple] = {(): (0.0, np.zeros(d + 1))}
+    lps = 0
+    for h in range(n_u):
         rows = uniq[: h + 1]
         grown = {}
-        for signs in partial:
+        for signs, (t, theta) in partial.items():
+            v = float(uniq[h] @ theta)
+            kept = min(t, abs(v)) if h < n_u - 1 else 0.0
             for s_new in (1, -1):
                 cand = signs + (s_new,)
-                t, theta = max_margin(rows, np.array(cand, dtype=float))
-                if t > FEASIBILITY_EPS:
-                    grown[cand] = (t, theta)
+                if kept > FEASIBILITY_EPS and s_new * v > 0:
+                    grown[cand] = (kept, theta)
+                    continue
+                t_new, theta_new = max_margin(rows, np.array(cand, float))
+                lps += 1
+                if t_new > FEASIBILITY_EPS:
+                    grown[cand] = (t_new, theta_new)
         partial = grown
 
     cells = [
@@ -130,7 +145,9 @@ def enumerate_cells(dataset: Dataset) -> CellDecomposition:
     ]
     cells.sort(key=lambda c: c.signs)
     lookup = {c.signs: i for i, c in enumerate(cells)}
-    return CellDecomposition(tuple(cells), lifted, is_generic(dataset), lookup)
+    return CellDecomposition(
+        tuple(cells), lifted, is_generic(dataset), lps, lookup
+    )
 
 
 def locate_cell(

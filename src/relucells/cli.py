@@ -58,10 +58,13 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_PROPERTY_FAILURE = 4
 
 
-def _config_hash(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()[:16]
+def _config_hash(payload: dict, ds) -> str:
+    """Hash of a run's settings and of its dataset's points and targets."""
+    h = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+    h.update(json.dumps(ds.points.shape).encode())
+    h.update(ds.points.tobytes())
+    h.update(ds.targets.tobytes())
+    return h.hexdigest()[:16]
 
 
 def _outdir(args) -> Path:
@@ -122,6 +125,7 @@ def cmd_cells(args) -> int:
         "formula": expected_cell_count(ds.n, ds.d),
         "formula_match": dec.size == expected_cell_count(ds.n, ds.d),
         "generic": dec.generic,
+        "margin_lps": dec.margin_lps,
         "seconds": round(time.perf_counter() - t0, 3),
     }
     out = _outdir(args)
@@ -150,8 +154,9 @@ def cmd_solve(args) -> int:
     report = {
         "version": __version__,
         "config_hash": _config_hash(
-            {"dataset": str(args.dataset), "potential": args.potential,
-             "mode": args.mode, "lambda": lam, "seed": args.seed}
+            {"potential": args.potential, "mode": args.mode, "lambda": lam,
+             "seed": args.seed},
+            ds,
         ),
         "objective": sol.objective,
         "primal_residual": sol.primal_residual,
@@ -199,7 +204,7 @@ def cmd_train(args) -> int:
     (out / "network.json").write_text(network_to_json(net))
     report = {
         "version": __version__,
-        "config_hash": _config_hash(vars(cfg).copy()),
+        "config_hash": _config_hash(vars(cfg).copy(), ds),
         "algo": args.algo,
         "final_loss": float(trace.loss[-1]),
         "final_lambda": float(trace.lam_value[-1]),

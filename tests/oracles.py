@@ -287,3 +287,59 @@ def gauge_prox_bisection_reference(Q, kappa, W, t):
     )
     factor = np.where(tau[:, None] > 0.0, factor, 1.0)
     return np.einsum("bkj,bj->bk", U, xi0 * factor)
+
+
+def margin_lp_two_phase(rows, signs):
+    """Standard form (c, A, b) of max t s.t. signs_i <theta, rows_i> >= t,
+    ||theta||_inf <= 1, as `simplex` solves it from an artificial basis.
+
+    Variables p(k), q(k), t+, t-, slack_margin(m), slack_box(2k) with
+    theta = p - q and t = t+ - t-; the margin rows keep slack coefficient
+    -1, so the slacks are not a basis. The LP optimum is -min c^T x.
+    """
+    rows = np.asarray(rows, dtype=float)
+    S = np.asarray(signs, dtype=float)[:, None] * rows
+    m, k = rows.shape
+    eye = np.eye(k)
+    nvar = 4 * k + 2 + m
+    A = np.zeros((m + 2 * k, nvar))
+    A[:m, :k], A[:m, k : 2 * k] = S, -S
+    A[:m, 2 * k], A[:m, 2 * k + 1] = -1.0, 1.0
+    A[:m, 2 * k + 2 : 2 * k + 2 + m] = -np.eye(m)
+    A[m : m + k, :k], A[m : m + k, k : 2 * k] = eye, -eye
+    A[m + k :, :k], A[m + k :, k : 2 * k] = -eye, eye
+    A[m:, 2 * k + 2 + m :] = np.eye(2 * k)
+    b = np.concatenate([np.zeros(m), np.ones(2 * k)])
+    c = np.zeros(nvar)
+    c[2 * k], c[2 * k + 1] = -1.0, 1.0
+    return c, A, b
+
+
+def enumerate_patterns_reference(lifted, eps):
+    """Sorted sign patterns of the arrangement's cells, by insertion that
+    solves the margin LP of both children at every level.
+
+    Copies of a row (equal to 1e-12) share its hyperplane and its sign.
+    """
+    from relucells._simplex import max_margin
+
+    lifted = np.asarray(lifted, dtype=float)
+    uniq, rep = [], []
+    for row in lifted:
+        for u, kept in enumerate(uniq):
+            scale = max(1.0, np.max(np.abs(kept)))
+            if np.max(np.abs(row - kept)) <= 1e-12 * scale:
+                rep.append(u)
+                break
+        else:
+            rep.append(len(uniq))
+            uniq.append(row)
+    uniq = np.array(uniq)
+    partial = [()]
+    for h in range(uniq.shape[0]):
+        grown = [signs + (s,) for signs in partial for s in (1, -1)]
+        partial = [
+            cand for cand in grown
+            if max_margin(uniq[: h + 1], np.array(cand, dtype=float))[0] > eps
+        ]
+    return sorted(tuple(p[r] for r in rep) for p in partial)

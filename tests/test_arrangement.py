@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_generic_dataset
+from oracles import enumerate_patterns_reference
 from relucells._simplex import max_margin
 from relucells.arrangement import (
+    FEASIBILITY_EPS,
     cell_sum_check,
     dataset_fingerprint,
     decomposition_to_json,
@@ -38,8 +40,10 @@ def test_enumerate_matches_formula():
 
 
 def test_enumerate_survives_drifted_phase1_costs():
-    # the simplex's phase-1 cost row drifts far enough on this dataset to
-    # report a phase-1 LP as unbounded; it is rebuilt from the basis instead
+    # two-phase margin LPs on this dataset drift far enough for phase 1 to
+    # report an unbounded ray. Enumeration starts its LPs from the slack
+    # basis and runs no phase 1; test_simplex_rebuilds_drifted_phase1_costs
+    # solves those two LPs by two-phase simplex directly
     rng = np.random.default_rng([32, 9])
     ds = Dataset(rng.normal(size=(16, 1)), rng.normal(size=16))
     dec = enumerate_cells(ds)
@@ -53,12 +57,12 @@ def test_witness_interior_and_margin(dec3, ds3):
         assert cell.margin > 0
 
 
-@pytest.mark.parametrize("case", ["d1", "d2", "d3", "duplicate", "one point"])
-def test_witness_is_the_admitting_lp(case):
-    # every cell keeps the (margin, witness) of the LP on all unique rows
-    # that admitted it, so solving that LP afresh reproduces both exactly
+CASES = ["d1", "d2", "d3", "duplicate", "one point"]
+
+
+def _case_dataset(case):
     rng = np.random.default_rng(21)
-    ds = {
+    return {
         "d1": lambda: random_generic_dataset(rng, 6, 1),
         "d2": lambda: random_generic_dataset(rng, 5, 2),
         "d3": lambda: random_generic_dataset(rng, 5, 3),
@@ -67,9 +71,20 @@ def test_witness_is_the_admitting_lp(case):
                                      np.zeros(4)),
         "one point": lambda: Dataset(np.array([[0.7]]), np.array([1.0])),
     }[case]()
+
+
+def _enumerate_quietly(ds):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        dec = enumerate_cells(ds)
+        return enumerate_cells(ds)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_witness_is_the_admitting_lp(case):
+    # every cell keeps the (margin, witness) of the LP on all unique rows
+    # that admitted it, so solving that LP afresh reproduces both exactly
+    ds = _case_dataset(case)
+    dec = _enumerate_quietly(ds)
     _, first = np.unique(ds.lifted, axis=0, return_index=True)
     keep = np.sort(first)
     for cell in dec.cells:
@@ -77,6 +92,33 @@ def test_witness_is_the_admitting_lp(case):
                               np.array(cell.signs, dtype=float)[keep])
         assert cell.margin == float(t)
         assert np.array_equal(cell.witness, theta)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_witness_side_skip_keeps_every_pattern(case):
+    # skipping the LP on the parent witness's side admits the same cells,
+    # in the same order, as solving both children's LPs at every level
+    ds = _case_dataset(case)
+    dec = _enumerate_quietly(ds)
+    assert [c.signs for c in dec.cells] == enumerate_patterns_reference(
+        ds.lifted, FEASIBILITY_EPS)
+
+
+# (1, 16), (2, 8) and (3, 8) are the sizes of the benchmark's `cells` inputs
+@pytest.mark.parametrize("d,n,lps", [(1, 16, 272), (2, 8, 172), (3, 8, 282),
+                                     (1, 2, 6), (2, 5, 44)])
+def test_margin_lp_count(d, n, lps):
+    # generic data: two LPs for the first hyperplane, one per parent cell at
+    # each middle level (its witness proves the child on its side), and two
+    # per parent at the last level
+    assert lps == 2 + sum(expected_cell_count(h, d) for h in range(1, n - 1)) \
+        + 2 * expected_cell_count(n - 1, d)
+    ds = random_generic_dataset(np.random.default_rng([d, n]), n, d)
+    assert enumerate_cells(ds).margin_lps == lps
+
+
+def test_one_point_takes_two_lps():
+    assert _enumerate_quietly(_case_dataset("one point")).margin_lps == 2
 
 
 def test_locate_cell_roundtrip(dec3):

@@ -20,6 +20,8 @@ def test_cells_command(tmp_path, ds_csv, capsys):
     summary = json.loads((out / "cells_summary.json").read_text())
     assert summary["cells"] == 6
     assert summary["formula_match"] is True
+    # 2 LPs for the first point, 2 for the second, 2 per cell of two points
+    assert summary["margin_lps"] == 12
     payload = json.loads((out / "cells.json").read_text())
     assert len(payload["cells"]) == 6
     assert "cells: 6" in capsys.readouterr().out
@@ -113,6 +115,29 @@ def test_identical_runs_identical_artifacts(tmp_path, ds_csv):
         out2 / "network.json"
     ).read_text()
     assert (out1 / "trace.csv").read_text() == (out2 / "trace.csv").read_text()
+
+
+def test_config_hash_identifies_the_data(tmp_path, ds3):
+    def hashes(name, targets):
+        path = tmp_path / name / "data.csv"
+        path.parent.mkdir()
+        save_dataset_csv(Dataset(ds3.points, targets), path)
+        out = []
+        for cmd, args, report in [
+            ("solve", [], "solve_report.json"),
+            ("train", ["--width", "4", "--steps", "10"], "train_report.json"),
+        ]:
+            run = tmp_path / name / cmd
+            assert main([cmd, str(path), "--out", str(run)] + args) == 0
+            out.append(json.loads((run / report).read_text())["config_hash"])
+        return out
+
+    same = hashes("a", ds3.targets)
+    assert hashes("b", ds3.targets) == same
+    edited = ds3.targets.copy()
+    edited[1] += 0.25
+    moved = hashes("c", edited)
+    assert moved[0] != same[0] and moved[1] != same[1]
 
 
 def test_config_file_merge_and_flag_priority(tmp_path, ds_csv):

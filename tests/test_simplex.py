@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
+from oracles import margin_lp_two_phase
+from relucells import _simplex
 from relucells._simplex import lp_min_l1, max_margin, simplex
 from relucells.errors import InfeasibleError
+
+# Sign patterns of the two 19 x 25 two-phase margin LPs (15 lifted rows of
+# the d = 1 dataset drawn from default_rng([32, 9])) whose phase-1 cost row
+# drifts far enough for phase 1 to report an unbounded ray.
+DRIFTED_PHASE1 = [
+    (1, 1, 1, 1, 1, 1, 1, 1, -1, 1, -1, -1, 1, -1, -1),
+    (-1, -1, -1, -1, -1, -1, -1, -1, 1, -1, 1, 1, -1, 1, 1),
+]
 
 
 def test_simplex_basic_lp():
@@ -88,3 +98,43 @@ def test_max_margin_box_bound():
     t, theta = max_margin(np.array([[1.0, 0.0]]), np.array([1.0]))
     assert t == pytest.approx(1.0)
     assert np.max(np.abs(theta)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("pattern", DRIFTED_PHASE1)
+def test_simplex_rebuilds_drifted_phase1_costs(pattern, monkeypatch):
+    rng = np.random.default_rng([32, 9])
+    points = rng.normal(size=(16, 1))[:15]
+    rows = np.hstack([points, np.ones((15, 1))])
+    c, A, b = margin_lp_two_phase(rows, pattern)
+    assert A.shape == (19, 25)
+    builds = []
+    build = _simplex._phase1_costs
+    monkeypatch.setattr(_simplex, "_phase1_costs",
+                        lambda *a: builds.append(1) or build(*a))
+    res = simplex(c, A, b)
+    # built once at the start, rebuilt once when phase 1 drifted
+    assert len(builds) == 2
+    assert res.status == "optimal"
+    # both patterns are cells; the drifted tableau's vertex is not accurate
+    # enough to compare its margin with max_margin's beyond that
+    assert -res.objective > 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_max_margin_matches_two_phase_oracle(d):
+    # the slack-basis start reaches the optimum of the two-phase build, on
+    # patterns that are cells (t > 0) and patterns that are not (t = 0)
+    rng = np.random.default_rng([40, d])
+    kinds = set()
+    for _ in range(60):
+        m = int(rng.integers(1, 4 * (d + 1)))
+        rows = np.hstack([rng.normal(size=(m, d)), np.ones((m, 1))])
+        signs = rng.choice([-1.0, 1.0], size=m)
+        t, theta = max_margin(rows, signs)
+        ref = simplex(*margin_lp_two_phase(rows, signs))
+        assert ref.status == "optimal"
+        assert t == pytest.approx(-ref.objective, abs=1e-12)
+        assert np.max(np.abs(theta)) <= 1.0 + 1e-14
+        assert np.min(signs * (rows @ theta)) >= t - 1e-12
+        kinds.add(bool(t > 1e-9))
+    assert kinds == {True, False}
