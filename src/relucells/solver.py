@@ -17,7 +17,8 @@ prox / data step / cone projection). The data step w - A^T (A A^T + c I)^+
 it is the exact prox of (STEP / lam) h, h = ||A x - y||^2 / (2 n), so the
 loop minimises g + h / lam, whose minimisers are those of lam g + h.
 The gauge prox solves one secular equation per block by Newton's method,
-with bisection as the fallback.
+started from the previous iteration's roots, with bisection as the
+fallback.
 The cone projection is exact in every dimension: the projection onto a
 polyhedral cone is the orthogonal projection onto the span of one of its
 faces, so it is the nearest in-cone point among the projections onto the
@@ -79,8 +80,7 @@ class FiniteProgram:
     y: np.ndarray
     signs: np.ndarray = field(repr=False)  # (2K, n) cone signs per block
     normals: np.ndarray = field(repr=False)  # (n, k) unit hyperplane normals
-    walls: np.ndarray = field(repr=False)  # (2K, w, k) see cone_faces
-    faces: np.ndarray = field(repr=False)  # (2K, F, k, k) see cone_faces
+    cones: np.ndarray = field(repr=False)  # (2K, k + w, F + 1, k) see cone_operator
 
     @property
     def k(self) -> int:
@@ -118,11 +118,10 @@ def build_program(
         [decomp.cells[ci].signs for ci in used] * 2, dtype=float
     ).reshape(2 * K, n)
     normals = lifted / np.linalg.norm(lifted, axis=1)[:, None]
-    walls, faces = cone_faces(decomp, used, normals)
+    cones = cone_operator(*cone_faces(decomp, used, normals))
     return FiniteProgram(
         dataset, decomp, kind, mode, lam, used, gauges, A,
-        dataset.targets.copy(), signs, normals, np.concatenate([walls, walls]),
-        np.concatenate([faces, faces]),
+        dataset.targets.copy(), signs, normals, np.concatenate([cones, cones]),
     )
 
 
@@ -168,6 +167,8 @@ class _GaugeProx:
     sum_j lam_j xi_j^2 / (rho + t kappa_b lam_j)^2 = 1 (Newton, with a
     bisection fallback; see _secular_root), and keeps null-space components.
     A row whose equation has no positive root shrinks onto the null space.
+    Each call starts Newton from the previous call's roots, and
+    newton_steps counts the steps taken over all calls.
     TV gauges (kappa = 1, Q = I) take the closed-form block soft threshold.
     """
 
@@ -177,6 +178,9 @@ class _GaugeProx:
         self.identity = all(
             g.kappa == 1.0 and np.allclose(g.Q, np.eye(g.Q.shape[0])) for g in blocks
         )
+        self.newton_steps = 0
+        self.t = None
+        self.ones = np.ones(blocks[0].Q.shape[0]) if blocks else None
         if not self.identity:
             evals, evecs = [], []
             for g in blocks:
@@ -185,6 +189,7 @@ class _GaugeProx:
                 evecs.append(U)
             self.evals = np.array(evals)  # (B, k)
             self.evecs = np.array(evecs)  # (B, k, k), columns are eigenvectors
+            self.rho = np.zeros(len(blocks))  # the last call's roots
 
     def value(self, W: np.ndarray) -> float:
         if self.identity:
@@ -192,51 +197,75 @@ class _GaugeProx:
         xi = np.einsum("bkj,bk->bj", self.evecs, W)
         return float(np.sum(self.kappa * np.sqrt(np.sum(self.evals * xi**2, axis=1))))
 
-    def prox(self, W: np.ndarray, t: float) -> np.ndarray:
-        tau = t * self.kappa
+    def _set_step(self, t: float) -> None:
+        """The parts of the prox that depend on the step t only."""
+        self.t = t
+        self.tau = t * self.kappa
         if self.identity:
-            r = np.linalg.norm(W, axis=1)
-            shrink = np.maximum(0.0, 1.0 - tau / np.maximum(r, 1e-300))
-            return W * shrink[:, None]
-        xi0 = np.einsum("bkj,bk->bj", self.evecs, W)
+            return
         pos = self.evals > 0.0
-        num = self.evals * xi0**2
         # zero eigenvalues carry no term: give them a unit denominator
-        tl = np.where(pos, tau[:, None] * self.evals, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the secular equation has a positive root where phi(0) > 1;
-            # elsewhere the row shrinks onto the null space of Q_b
-            need = (tau > 0.0) & (np.sum(num / tl**2, axis=1) > 1.0)
+        self.tl = np.where(pos, self.tau[:, None] * self.evals, 1.0)
+        # components the prox scales; the others (tau = 0 or lam_j = 0) stay
+        self.scaled = pos & (self.tau[:, None] > 0.0)
+        with np.errstate(divide="ignore"):
+            self.inv_tl2 = np.where(self.scaled, 1.0 / self.tl**2, 0.0)
+
+    def prox(self, W: np.ndarray, t: float) -> np.ndarray:
+        if t != self.t:
+            self._set_step(t)
+        if self.identity:
+            r = np.sqrt((W * W) @ self.ones)
+            return W * np.maximum(0.0, 1.0 - self.tau / np.maximum(r, 1e-300))[:, None]
+        xi0 = np.matmul(W[:, None], self.evecs)[:, 0]
+        num = self.evals * xi0**2
+        # the secular equation has a positive root where phi(0) > 1;
+        # elsewhere the row shrinks onto the null space of Q_b
+        need = (num * self.inv_tl2) @ self.ones > 1.0
         rho = np.zeros(len(W))
         if need.any():
-            rho[need] = _secular_root(num[need], tl[need])
-        shrink = rho[:, None] / np.maximum(rho[:, None] + tl, 1e-300)
-        factor = np.where(pos & (tau[:, None] > 0.0), shrink, 1.0)
-        return np.einsum("bkj,bj->bk", self.evecs, xi0 * factor)
+            rho[need], steps = _secular_root(num[need], self.tl[need], self.rho[need])
+            self.newton_steps += steps
+        self.rho = rho
+        r = rho[:, None]
+        factor = np.where(self.scaled, r / np.maximum(r + self.tl, 1e-300), 1.0)
+        return np.matmul(self.evecs, (xi0 * factor)[:, :, None])[:, :, 0]
 
 
-def _secular_root(num: np.ndarray, tl: np.ndarray) -> np.ndarray:
+def _secular_root(
+    num: np.ndarray, tl: np.ndarray, start: np.ndarray | float = 0.0
+) -> tuple[np.ndarray, int]:
     """The root rho > 0 of phi(rho) = sum_j num_j / (rho + tl_j)^2 = 1 in
-    each row, for rows with phi(0) > 1 and tl > 0.
+    each row, for rows with phi(0) > 1 and tl > 0, and the number of Newton
+    steps taken.
 
     Newton on h = phi^(-1/2) - 1, which is concave and increasing (Moré &
-    Sorensen 1983): from a point where h <= 0 the iterates rise to the root
-    with no overshoot. Rows whose rho still moves by more than an ulp after
-    30 steps fall back to bisection.
+    Sorensen 1983), from max(start, L) with L = max(max_j sqrt(num_j) -
+    tl_j, 0). At L one term of phi is 1 (or L = 0, where phi > 1), so
+    h(L) <= 0 and L is at or below the root. Only the first step may go
+    down: by concavity h lies below its tangent, so the tangent's zero,
+    where the step lands, has h <= 0 and is at or below the root; the step
+    is kept no lower than L. From a point where h <= 0 every later step
+    rises to the root with no overshoot. Started at the root of a nearby
+    equation (the previous call's rho), Newton needs fewer steps than from
+    L. Rows whose rho still moves by more than an ulp after 30 steps fall
+    back to bisection.
     """
-    # phi(rho) >= num_j / (rho + tl_j)^2 for each j, so h <= 0 here
-    rho = np.maximum(np.max(np.sqrt(num) - tl, axis=1), 0.0)
-    for _ in range(30):
+    ones = np.ones(num.shape[1])
+    floor = np.maximum(np.maximum.reduce(np.sqrt(num) - tl, axis=1), 0.0)
+    rho = np.maximum(start, floor)
+    for steps in range(1, 31):
         den = rho[:, None] + tl
         q = num / den**2
-        phi = np.sum(q, axis=1)
-        step = np.maximum(phi * (np.sqrt(phi) - 1.0) / np.sum(q / den, axis=1), 0.0)
-        rho += step
-        unsettled = ~(step <= 2.3e-16 * rho)
-        if not unsettled.any():
-            return rho
-    rho[unsettled] = _bisect_root(num[unsettled], tl[unsettled])
-    return rho
+        phi = q @ ones
+        new = np.maximum(rho + phi * (np.sqrt(phi) - 1.0) / ((q / den) @ ones), floor)
+        settled = np.abs(new - rho) <= 2.3e-16 * new
+        # after the first step h(rho) <= 0, so the iterates only rise
+        rho = floor = new
+        if settled.all():
+            return rho, steps
+    rho[~settled] = _bisect_root(num[~settled], tl[~settled])
+    return rho, steps
 
 
 def _bisect_root(num: np.ndarray, tl: np.ndarray) -> np.ndarray:
@@ -291,28 +320,42 @@ def cone_faces(
     return walls, faces
 
 
-def project_cones(W: np.ndarray, walls: np.ndarray, faces: np.ndarray) -> np.ndarray:
+def cone_operator(walls: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """The stacked cone operator of project_cones, from cone_faces' output.
+
+    Block b holds, for each face f, the projector P_f in its first k rows
+    and walls[b] @ P_f in its last w rows, so that one matmul with a row w
+    gives every candidate P_f w and the wall values of each. Face 0 is the
+    cone's apex {0} (P = 0), then come cone_faces' faces, the identity
+    first. Shape (B, k + w, F + 1, k): row r of face f is [b, r, f].
+    """
+    B, _, k, _ = faces.shape
+    P = np.concatenate([np.zeros((B, 1, k, k)), faces], axis=1)
+    stacked = np.concatenate([P, walls[:, None] @ P], axis=2)  # (B, F + 1, k + w, k)
+    return np.ascontiguousarray(stacked.transpose(0, 2, 1, 3))
+
+
+def project_cones(W: np.ndarray, cones: np.ndarray) -> np.ndarray:
     """Euclidean projection of each block row of W onto its cone
-    {v : <m, v> >= 0 for every row m of walls[b]} (see cone_faces).
+    {v : <m, v> >= 0 for every row m of walls[b]}; cones is the stacked
+    operator of those blocks (see cone_operator and cone_faces).
 
     The projection lies in the relative interior of one face and equals the
     projection onto that face's span there. So it is the nearest of the
-    candidates faces[b] @ w that lie in the cone (to 1e-12 ||w||), which is
-    the longest one since ||w - P w||^2 = ||w||^2 - ||P w||^2, or the origin
-    when none is.
+    candidates P_f w that lie in the cone (to 1e-12 ||w||), which is the
+    longest one since ||w - P w||^2 = ||w||^2 - ||P w||^2. The apex's
+    candidate 0 is always in the cone and is the answer when no longer one
+    is. One 3-D matmul gives every candidate and its wall values.
     """
-    cand = np.matmul(faces, W[:, None, :, None])[..., 0]  # (B, F, k)
-    inside = np.all(
-        np.matmul(cand, walls.transpose(0, 2, 1))
-        >= -1e-12 * np.linalg.norm(W, axis=1)[:, None, None],
-        axis=2,
-    )
-    sq = np.where(inside, np.einsum("bfk,bfk->bf", cand, cand), -1.0)
-    rows = np.arange(W.shape[0])
-    best = np.argmax(sq, axis=1)
-    out = cand[rows, best]
-    out[sq[rows, best] < 0.0] = 0.0
-    return out
+    B, R, F, k = cones.shape
+    out = np.matmul(cones.reshape(B, R * F, k), W[:, :, None]).reshape(B, R, F)
+    cand = out[:, :k]  # column f is P_f w
+    # ||P w||^2 = <w, P w> for an orthogonal projector P; face 1 is the
+    # identity, so sq[:, 1] is ||w||^2
+    sq = np.matmul(W[:, None], cand)[:, 0]
+    inside = np.minimum.reduce(out[:, k:], axis=1) >= -1e-12 * np.sqrt(sq[:, 1:2])
+    # candidates outside score 0, and ties go to the first face, the apex
+    return cand[np.arange(B), :, (sq * inside).argmax(axis=1)]
 
 
 def cone_violation(
@@ -372,6 +415,12 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
     constrained). The constrained loop stops on the primal residual, the
     penalized one once the multipliers (y - A x) / (n lam) read at x2 and
     at x3 agree to TOL_FEAS.
+
+    The rows of one (6, dim) array S hold the three copies z1, z2, z3 and
+    their prox points x1, x2, x3. The relaxed step z_i += r (m - x_i), with
+    m = (2 sum_i x_i - sum_i z_i) / 3, is linear in S, so it is one matmul
+    with a fixed 3 x 6 matrix. The cone step calls project_cones through
+    the module, once per iteration.
     """
     A, y, lam = program.A, program.y, program.lam
     n = program.dataset.n
@@ -390,12 +439,15 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
             )
 
     prox_g = _GaugeProx(program.gauges)
-
-    w0 = _initial(program, config)
-    z1 = w0.copy()
-    z2 = w0.copy()
-    z3 = w0.copy()
+    B, k = program.n_blocks, program.k
+    S = np.zeros((6, A.shape[1]))
+    S[:3] = _initial(program, config)
+    z1, z2, z3, x1, x2, x3 = S  # row views
+    Z1, Z3, X1, X3 = (v.reshape(B, k) for v in (z1, z3, x1, x3))
     r = 2.0 * RELAX
+    C = np.hstack([np.eye(3) - r / 3.0, 2.0 * r / 3.0 - r * np.eye(3)])
+    Z = np.empty((3, A.shape[1]))
+    fit_z2 = np.empty(n)
     yscale = 1.0 + float(np.linalg.norm(y))
 
     obj_hist: list[float] = []
@@ -404,17 +456,16 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
     converged = False
     while it < config.max_iters:
         it += 1
-        x1 = prox_g.prox(_split(program, z1), STEP).ravel()
-        x2 = z2 - M @ (A @ z2 - y)
-        x3 = project_cones(_split(program, z3), program.walls, program.faces).ravel()
-        # relaxed product-space Douglas-Rachford step
-        m = (2.0 * (x1 + x2 + x3) - (z1 + z2 + z3)) / 3.0
-        z1 += r * (m - x1)
-        z2 += r * (m - x2)
-        z3 += r * (m - x3)
+        X1[:] = prox_g.prox(Z1, STEP)
+        np.matmul(A, z2, out=fit_z2)
+        fit_z2 -= y
+        np.subtract(z2, M @ fit_z2, out=x2)
+        X3[:] = project_cones(Z3, program.cones)
+        np.matmul(C, S, out=Z)  # the relaxed product-space step
+        S[:3] = Z
 
         if it % CHECK_EVERY == 0 or it == config.max_iters:
-            reg = prox_g.value(_split(program, x3))
+            reg = prox_g.value(X3)
             fit = A @ x3 - y
             if penalized:
                 obj = 0.5 * float(fit @ fit) / n + lam * reg
@@ -438,6 +489,8 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
         "step": STEP,
         "cone_violation": cone_violation(W, program.signs, program.normals),
         "objective_checks": len(obj_hist),
+        "stop_reason": "converged" if converged else "max_iters",
+        "newton_steps": prox_g.newton_steps,
     }
     if penalized:
         diag["data_term"] = 0.5 * float(fit @ fit) / n
@@ -580,7 +633,7 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
     # gauge ball, on every inactive block
     inactive = [blk for blk in range(2 * K) if blk not in live]
     Q = (mult @ program.A).reshape(2 * K, k)[inactive]
-    QC = project_cones(Q, program.walls[inactive], program.faces[inactive])
+    QC = project_cones(Q, program.cones[inactive])
     dual_bound = 0.0
     for blk, q, qc in zip(inactive, Q, QC):
         nq = np.linalg.norm(qc)

@@ -343,3 +343,109 @@ def enumerate_patterns_reference(lifted, eps):
             if max_margin(uniq[: h + 1], np.array(cand, dtype=float))[0] > eps
         ]
     return sorted(tuple(p[r] for r in rep) for p in partial)
+
+
+def dr_reference(program):
+    """The solver's relaxed Douglas-Rachford loop from 0 on three separate
+    vectors z1, z2, z3, each step written out, with the gauge prox's Newton
+    started cold at its lower bound in every call and the cone step as a
+    4-D matmul over (block, face), under the default SolverConfig. Returns
+    (iterations, objective).
+    """
+    from relucells.solver import (
+        CHECK_EVERY, RELAX, STEP, TOL_FEAS, SolverConfig, _bisect_root,
+        _objective_settled, cone_faces,
+    )
+
+    A, y, lam = program.A, program.y, program.lam
+    n, k, B = program.dataset.n, program.k, program.n_blocks
+    penalized = program.mode == "penalized"
+    ridge = n * lam / STEP if penalized else 0.0
+    M = A.T @ np.linalg.pinv(A @ A.T + ridge * np.eye(n), rcond=1e-12)
+    walls, faces = cone_faces(program.decomposition, program.cells_used,
+                              program.normals)
+    walls, faces = np.concatenate([walls, walls]), np.concatenate([faces, faces])
+    Q = np.array([g.Q for g in program.gauges] * 2)
+    kappa = np.array([g.kappa for g in program.gauges] * 2)
+    tau = STEP * kappa
+    identity = np.all(kappa == 1.0) and np.allclose(Q, np.eye(k))
+    lam_Q, U = np.linalg.eigh(Q)
+    lam_Q = np.maximum(lam_Q, 0.0)
+    pos = lam_Q > 0.0
+    tl = np.where(pos, tau[:, None] * lam_Q, 1.0)
+
+    def gauge(X):
+        if identity:
+            return float(np.sum(np.linalg.norm(X, axis=1)))
+        xi = np.einsum("bkj,bk->bj", U, X)
+        return float(np.sum(kappa * np.sqrt(np.sum(lam_Q * xi**2, axis=1))))
+
+    def prox(X):
+        if identity:
+            r = np.linalg.norm(X, axis=1)
+            return X * np.maximum(0.0, 1.0 - tau / np.maximum(r, 1e-300))[:, None]
+        xi0 = np.einsum("bkj,bk->bj", U, X)
+        num = lam_Q * xi0**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            need = (tau > 0.0) & (np.sum(num / tl**2, axis=1) > 1.0)
+        nm, tn = num[need], tl[need]
+        root = np.maximum(np.max(np.sqrt(nm) - tn, axis=1), 0.0)
+        for _ in range(30):
+            den = root[:, None] + tn
+            q = nm / den**2
+            phi = np.sum(q, axis=1)
+            step = np.maximum(phi * (np.sqrt(phi) - 1.0) / np.sum(q / den, axis=1), 0.0)
+            root += step
+            unsettled = ~(step <= 2.3e-16 * root)
+            if not unsettled.any():
+                break
+        else:
+            root[unsettled] = _bisect_root(nm[unsettled], tn[unsettled])
+        rho = np.zeros(B)
+        rho[need] = root
+        shrink = rho[:, None] / np.maximum(rho[:, None] + tl, 1e-300)
+        factor = np.where(pos & (tau[:, None] > 0.0), shrink, 1.0)
+        return np.einsum("bkj,bj->bk", U, xi0 * factor)
+
+    def project(X):
+        cand = np.matmul(faces, X[:, None, :, None])[..., 0]  # (B, F, k)
+        inside = np.all(
+            np.matmul(cand, walls.transpose(0, 2, 1))
+            >= -1e-12 * np.linalg.norm(X, axis=1)[:, None, None],
+            axis=2,
+        )
+        sq = np.where(inside, np.einsum("bfk,bfk->bf", cand, cand), -1.0)
+        rows = np.arange(B)
+        best = np.argmax(sq, axis=1)
+        out = cand[rows, best]
+        out[sq[rows, best] < 0.0] = 0.0
+        return out
+
+    z1, z2, z3 = (np.zeros(A.shape[1]) for _ in range(3))
+    max_iters = SolverConfig().max_iters
+    r = 2.0 * RELAX
+    yscale = 1.0 + float(np.linalg.norm(y))
+    obj_hist, best = [], None
+    for it in range(1, max_iters + 1):
+        x1 = prox(z1.reshape(B, k)).ravel()
+        x2 = z2 - M @ (A @ z2 - y)
+        x3 = project(z3.reshape(B, k)).ravel()
+        m = (2.0 * (x1 + x2 + x3) - (z1 + z2 + z3)) / 3.0
+        z1 += r * (m - x1)
+        z2 += r * (m - x2)
+        z3 += r * (m - x3)
+        if it % CHECK_EVERY == 0 or it == max_iters:
+            reg = gauge(x3.reshape(B, k))
+            fit = A @ x3 - y
+            if penalized:
+                obj = 0.5 * float(fit @ fit) / n + lam * reg
+                res = float(np.linalg.norm(A @ (x3 - x2))) / (n * lam)
+            else:
+                obj = reg
+                res = float(np.linalg.norm(fit)) / yscale
+            obj_hist.append(obj)
+            if best is None or (res, obj) < best:
+                best = (res, obj)
+            if res < TOL_FEAS and _objective_settled(obj_hist):
+                return it, obj
+    return max_iters, best[1]

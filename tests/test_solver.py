@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import random_generic_dataset
 from oracles import (
+    dr_reference,
     dykstra_reference,
     exhaustive_support_objective,
     gauge_prox_bisection_reference,
@@ -21,6 +23,7 @@ from relucells.solver import (
     _secular_root,
     SolverConfig,
     build_program,
+    cone_faces,
     cone_violation,
     extract_radon,
     lp_l1,
@@ -190,7 +193,7 @@ def test_cone_projection_matches_dykstra():
         (outside, b_out), (inside, b_in), (wall, b_wall) = _cone_inputs(prog, rng)
         for W, blk in [(outside, b_out), (inside, b_in), (wall, b_wall)]:
             signs = prog.signs[blk]
-            exact = project_cones(W, prog.walls[blk], prog.faces[blk])
+            exact = project_cones(W, prog.cones[blk])
             # thin cones (here in the n = 5, d = 2 case) take Dykstra over
             # 20 000 cycles to settle
             dykstra = dykstra_reference(W, signs, prog.normals, tol=1e-15,
@@ -199,24 +202,36 @@ def test_cone_projection_matches_dykstra():
             assert cone_violation(exact, signs, prog.normals) <= 1e-12
         # points of the cone stay where they are
         assert np.array_equal(
-            project_cones(inside, prog.walls[b_in], prog.faces[b_in]), inside
+            project_cones(inside, prog.cones[b_in]), inside
         )
-        assert project_cones(
-            wall, prog.walls[b_wall], prog.faces[b_wall]
-        ) == pytest.approx(wall, abs=1e-12)
+        assert project_cones(wall, prog.cones[b_wall]) == pytest.approx(
+            wall, abs=1e-12
+        )
 
 
 def test_cone_faces_follow_the_cell_walls(ds3, dec3):
     # at d = 1 every cone is a sector with two walls: faces (), {a}, {b}
     prog = build_program(ds3, dec3, PotentialKind.tv())
-    assert prog.walls.shape == (prog.n_blocks, 2, 2)
-    assert prog.faces.shape == (prog.n_blocks, 3, 2, 2)
-    assert all(np.array_equal(P, np.eye(2)) for P in prog.faces[:, 0])
+    K = len(prog.cells_used)
+    walls, faces = cone_faces(dec3, prog.cells_used, prog.normals)
+    assert walls.shape == (K, 2, 2)
+    assert faces.shape == (K, 3, 2, 2)
+    assert all(np.array_equal(P, np.eye(2)) for P in faces[:, 0])
+    # the operator stacks the apex, then the faces; each face's projector
+    # above its wall tests, for the u and the v blocks
+    assert prog.cones.shape == (2 * K, 2 + 2, 1 + 3, 2)
+    assert np.array_equal(prog.cones[:K], prog.cones[K:])
+    assert not prog.cones[:, :, 0].any()
+    assert np.array_equal(np.moveaxis(prog.cones[:K, :2, 1:], 2, 1), faces)
+    assert np.array_equal(prog.cones[:K, 2:, 1:],
+                          np.moveaxis(walls[:, None] @ faces, 2, 1))
     # d = 2, n = 3: at most 1 + 3 + 3 faces per cone
     ds = Dataset(*PLANE[5])
-    prog2 = build_program(ds, enumerate_cells(ds), PotentialKind.tv())
-    assert prog2.faces.shape[1:] == (7, 3, 3)
-    for P in prog2.faces.reshape(-1, 3, 3):
+    dec = enumerate_cells(ds)
+    prog2 = build_program(ds, dec, PotentialKind.tv())
+    faces2 = cone_faces(dec, prog2.cells_used, prog2.normals)[1]
+    assert faces2.shape[1:] == (7, 3, 3)
+    for P in faces2.reshape(-1, 3, 3):
         assert P @ P == pytest.approx(P, abs=1e-12)
 
 
@@ -276,8 +291,6 @@ def test_optimality_certificate(ds3, dec3):
 
 
 def test_solution_json_roundtrip(ds3, dec3):
-    import json
-
     prog = build_program(ds3, dec3, PotentialKind.tv())
     sol = solve(prog)
     payload = json.loads(sol.to_json())
@@ -327,14 +340,40 @@ def test_gauge_prox_matches_bisection():
     assert rank_deficient > 0
 
 
-def test_bisection_fallback_finds_the_newton_root():
+def _secular_rows():
+    """Secular equations of up to 500 rows with a positive root."""
     rng = np.random.default_rng(2)
     num = rng.random((500, 3)) * 10.0 ** rng.uniform(-4, 4, size=(500, 1))
     num[::4, 0] = 0.0  # a zero eigenvalue: no term, unit denominator
     tl = np.where(num > 0.0, 10.0 ** rng.uniform(-3, 1, size=(500, 3)), 1.0)
     has_root = np.sum(num / tl**2, axis=1) > 1.0
-    num, tl = num[has_root], tl[has_root]
-    assert _bisect_root(num, tl) == pytest.approx(_secular_root(num, tl), rel=1e-12)
+    return num[has_root], tl[has_root]
+
+
+def test_bisection_fallback_finds_the_newton_root():
+    num, tl = _secular_rows()
+    assert _bisect_root(num, tl) == pytest.approx(_secular_root(num, tl)[0], rel=1e-12)
+
+
+def test_warm_started_secular_root_agrees_from_any_start(monkeypatch):
+    # only the first step may go down, and it lands at or below the root,
+    # so no start sends a row to the bisection fallback
+    num, tl = _secular_rows()
+    ref = _bisect_root(num, tl)
+    lower = np.maximum(np.max(np.sqrt(num) - tl, axis=1), 0.0)
+    fallbacks = []
+
+    def counted(num, tl):
+        fallbacks.append(len(num))
+        return _bisect_root(num, tl)
+
+    monkeypatch.setattr("relucells.solver._bisect_root", counted)
+    cold_steps = _secular_root(num, tl)[1]
+    for start in (10.0 * ref + 1.0, 1.5 * ref, ref, 0.0, 0.5 * lower, -1.0):
+        rho, steps = _secular_root(num, tl, start)
+        assert rho == pytest.approx(ref, rel=1e-12)
+        assert steps <= cold_steps + 1
+    assert fallbacks == []
 
 
 def _label_noise_solve(ds):
@@ -399,3 +438,62 @@ def test_plane_penalized_tv_solve_is_certified(seed):
     sol = solve(prog)
     assert sol.converged
     _certified(prog, sol)
+
+
+@pytest.mark.parametrize("potential, plane, lam", [
+    ("tv", False, 0.0),
+    ("label-noise", False, 0.0),
+    ("tv", True, 0.0),
+    ("tv", False, 0.02),
+    ("label-noise", False, 0.02),
+])
+def test_solve_keeps_the_three_vector_iterates(ds3, potential, plane, lam):
+    # the one-matmul relaxation step, the stacked cone operator and the
+    # warm-started Newton move only roundoff
+    ds = Dataset(*PLANE[5]) if plane else ds3
+    kind = PotentialKind.from_flag(potential, ds)
+    prog = build_program(ds, enumerate_cells(ds), kind,
+                         mode="penalized" if lam else "constrained", lam=lam)
+    sol = solve(prog)
+    iterations, objective = dr_reference(prog)
+    assert sol.iterations == iterations
+    assert sol.objective == pytest.approx(objective, rel=1e-12)
+
+
+def test_solve_calls_project_cones_once_per_iteration(monkeypatch, ds3, dec3):
+    # the benchmark's tracing counts cone steps by wrapping this module name
+    calls = []
+
+    def counted(W, cones):
+        calls.append(len(W))
+        return project_cones(W, cones)
+
+    monkeypatch.setattr("relucells.solver.project_cones", counted)
+    sol = solve(build_program(ds3, dec3, PotentialKind.tv()))
+    assert len(calls) == sol.iterations
+
+
+def test_solution_reports_why_it_stopped(monkeypatch, ds3, dec3):
+    steps = []
+
+    def counted(num, tl, start=0.0):
+        rho, n_steps = _secular_root(num, tl, start)
+        steps.append(n_steps)
+        return rho, n_steps
+
+    monkeypatch.setattr("relucells.solver._secular_root", counted)
+    for kind in (PotentialKind.tv(), PotentialKind.label_noise(ds3)):
+        prog = build_program(ds3, dec3, kind)
+        for config, reason in [(SolverConfig(), "converged"),
+                               (SolverConfig(max_iters=25), "max_iters")]:
+            steps.clear()
+            sol = solve(prog, config)
+            assert sol.converged == (reason == "converged")
+            assert sol.diagnostics["stop_reason"] == reason
+            # every secular step of the solve, none for the TV soft threshold
+            assert sol.diagnostics["newton_steps"] == sum(steps)
+            assert (sum(steps) > 0) == (kind.variant.value != "tv")
+            payload = json.loads(sol.to_json())["diagnostics"]
+            assert payload["stop_reason"] == reason
+            assert payload["newton_steps"] == sum(steps)
+        assert sol.iterations == 25
