@@ -211,6 +211,7 @@ def cmd_train(args) -> int:
         "final_support": int(trace.support[-1]),
         "interpolation_step": trace.interpolation_step,
         "seconds": round(elapsed, 3),
+        "record_seconds": round(trace.record_seconds, 3),
     }
     (out / "train_report.json").write_text(json.dumps(report, indent=2))
     print(f"final loss {report['final_loss']:.3e}  "

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import time
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
 from .analysis import support_count
 from .errors import ConvergenceError, PreconditionError
-from .model import Dataset, Neuron, ParticleNetwork, relu
+from .model import Dataset, Neuron, ParticleNetwork
 from .potentials import second_moments
 
 DIVERGENCE_FACTOR = 1e6
@@ -63,6 +66,8 @@ class TrainConfig:
             )
         if self.noise_dist not in ("rademacher", "gaussian"):
             raise PreconditionError(f"unknown noise distribution {self.noise_dist!r}")
+        if self.record_stride < 1 or self.interp_patience < 1:
+            raise PreconditionError("record_stride >= 1, interp_patience >= 1")
 
 
 @dataclass
@@ -74,6 +79,7 @@ class TrainTrace:
     support: np.ndarray  # ray count of the current network
     grad_norm: np.ndarray  # full-batch objective gradient norm
     interpolation_step: int | None = field(default=None)
+    record_seconds: float = 0.0  # time spent writing the trace rows
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -121,49 +127,71 @@ def network_from_json(text: str) -> ParticleNetwork:
                            np.array(obj["c"]))
 
 
-def _decay_value_grads(A: np.ndarray, b: np.ndarray, c: np.ndarray, kind: str):
-    """Explicit penalty sum_j V(theta_j) and its per-parameter gradients."""
+class _Workspace:
+    """Preallocated arrays of _loss_and_grads for n points and a width-m
+    network in dimension d; the (2, m) arrays hold the rows b and c."""
+
+    def __init__(self, n: int, m: int, d: int):
+        self.pre, self.act, self.rmask = (np.empty((n, m)) for _ in range(3))
+        self.mask, self.resid = np.empty((n, m), dtype=bool), np.empty(n)
+        self.gA, self.tA = np.empty((m, d)), np.empty((m, d))
+        self.gbc, self.tbc = np.empty((2, m)), np.empty((2, m))
+        self.gb, self.gc = self.gbc
+
+
+def _decay_value_grads(A, bc, kind: str, ws: _Workspace) -> float:
+    """Explicit penalty sum_j V(theta_j); its gradients go to ws.tA, ws.tbc."""
     if kind == "norm-squared":
-        val = float(np.sum(A**2) + np.sum(b**2) + np.sum(c**2))
-        return val, 2.0 * A, 2.0 * b, 2.0 * c
+        sum_a = np.add.reduce(np.square(A, out=ws.tA), axis=None)
+        sum_b, sum_c = np.add.reduce(np.square(bc, out=ws.tbc), axis=1)
+        np.multiply(A, 2.0, out=ws.tA)
+        np.multiply(bc, 2.0, out=ws.tbc)
+        return float(sum_a + sum_b + sum_c)
     # path norm |c| * ||(a, b)||; subgradient 0 at either zero factor
-    norms = np.sqrt(np.sum(A**2, axis=1) + b**2)
-    absc = np.abs(c)
-    val = float(np.sum(absc * norms))
-    safe = np.where(norms > 0, norms, 1.0)
-    gA = (absc / safe)[:, None] * A
-    gb = (absc / safe) * b
-    gc = np.sign(c) * norms
-    return val, gA, gb, gc
+    norms = np.sqrt(np.add.reduce(np.square(A), axis=1) + np.square(bc[0]))
+    absc = np.abs(bc[1])
+    ratio = absc / np.where(norms > 0, norms, 1.0)
+    np.multiply(ratio[:, None], A, out=ws.tA)
+    np.multiply(ratio, bc[0], out=ws.tbc[0])
+    np.multiply(np.sign(bc[1]), norms, out=ws.tbc[1])
+    return float(np.add.reduce(absc * norms))
 
 
-def _loss_and_grads(A, b, c, X, y, decay: float, decay_potential: str):
-    """Data loss, decay term and full-batch objective gradients on raw arrays.
-
-    Returns (data loss, decay term, grad_A, grad_b, grad_c).
-    """
+def _loss_and_grads(A, bc, X, y, decay: float, decay_potential: str, ws):
+    """(data loss, decay term) of the full-batch objective; its gradients
+    are written to ws.gA and ws.gbc (rows gb, gc)."""
     n, m = X.shape[0], A.shape[0]
-    pre = X @ A.T + b  # (n, m)
-    act = relu(pre)
-    resid = act @ c / m - y
+    b, c = bc
+    pre, act, rmask, resid, gA, gbc = (ws.pre, ws.act, ws.rmask, ws.resid,
+                                       ws.gA, ws.gbc)
+    np.matmul(X, A.T, out=pre)
+    pre += b
+    np.maximum(0.0, pre, out=act)
+    np.matmul(act, c, out=resid)
+    resid /= m
+    resid -= y
     loss = 0.5 * float(resid @ resid) / n
 
     # relu'(0) = 0: the hinge contributes nothing
-    mask = (pre > 0.0).astype(float)
-    rmask = mask * resid[:, None]
-    gA = (rmask.T @ X) * c[:, None] / (n * m)
-    gb = np.sum(rmask, axis=0) * c / (n * m)
-    gc = act.T @ resid / (n * m)
+    np.greater(pre, 0.0, out=ws.mask)
+    np.multiply(ws.mask, resid[:, None], out=rmask)
+    np.matmul(rmask.T, X, out=gA)
+    gA *= c[:, None]
+    gA /= n * m
+    np.add.reduce(rmask, axis=0, out=ws.gb)
+    ws.gb *= c
+    np.matmul(act.T, resid, out=ws.gc)
+    gbc /= n * m
 
     reg = 0.0
     if decay > 0.0:
-        val, dA, db, dc = _decay_value_grads(A, b, c, decay_potential)
         scale = decay / m
-        reg = scale * val
-        gA = gA + scale * dA
-        gb = gb + scale * db
-        gc = gc + scale * dc
-    return loss, reg, gA, gb, gc
+        reg = scale * _decay_value_grads(A, bc, decay_potential, ws)
+        ws.tA *= scale
+        gA += ws.tA
+        ws.tbc *= scale
+        gbc += ws.tbc
+    return loss, reg
 
 
 def objective_and_grads(
@@ -171,22 +199,25 @@ def objective_and_grads(
 ):
     """Full-batch objective value and gradients (data term + decay term).
 
-    Returns (objective, data loss, decay term, grad_A, grad_b, grad_c).
+    Returns (objective, data loss, decay term, grad_A, grad_b, grad_c); the
+    gradient arrays are new and belong to the caller.
     """
-    loss, reg, gA, gb, gc = _loss_and_grads(
-        net.A, net.b, net.c, dataset.points, dataset.targets,
-        config.decay, config.decay_potential,
+    ws = _Workspace(dataset.n, net.m, net.d)
+    loss, reg = _loss_and_grads(
+        net.A, np.stack([net.b, net.c]), dataset.points, dataset.targets,
+        config.decay, config.decay_potential, ws,
     )
-    return loss + reg, loss, reg, gA, gb, gc
+    return loss + reg, loss, reg, ws.gA, ws.gb, ws.gc
 
 
-def _init_network(config: TrainConfig, d: int, rng) -> ParticleNetwork:
+def _init_params(config: TrainConfig, d: int, rng):
+    """Initial A and the rows (b, c) of one (2, m) array."""
     m = config.width
     s = config.init_scale
     A = rng.normal(0.0, s / np.sqrt(d + 1), size=(m, d))
     b = rng.normal(0.0, s / np.sqrt(d + 1), size=m)
     c = s * rng.choice([-1.0, 1.0], size=m)
-    return ParticleNetwork(A, b, c)
+    return A, np.stack([b, c])
 
 
 def _streams(seed: int):
@@ -200,12 +231,14 @@ def _streams(seed: int):
 
 
 def _record(trace_rows, step, net, dataset, loss, reg, grads):
-    """Append one trace row; grads are the objective gradients (gA, gb, gc)."""
-    gA, gb, gc = grads
-    gnorm = float(np.sqrt(np.sum(gA**2) + np.sum(gb**2) + np.sum(gc**2)))
+    """Append one trace row, ending in the seconds it took; grads are the
+    objective gradients (gA, gb, gc)."""
+    t0 = time.perf_counter()
+    gnorm = float(np.sqrt(sum(np.sum(g**2) for g in grads)))
     lam_val = implicit_lambda(net, dataset)
     supp = support_count(net)
-    trace_rows.append((step, loss, lam_val, reg, supp, gnorm))
+    trace_rows.append((step, loss, lam_val, reg, supp, gnorm,
+                       time.perf_counter() - t0))
 
 
 def _finish_trace(trace_rows, config) -> TrainTrace:
@@ -213,6 +246,7 @@ def _finish_trace(trace_rows, config) -> TrainTrace:
     trace = TrainTrace(
         arr[:, 0].astype(int), arr[:, 1], arr[:, 2], arr[:, 3],
         arr[:, 4].astype(int), arr[:, 5],
+        record_seconds=float(np.sum(arr[:, 6])),
     )
     below = trace.loss < config.interp_tol
     run = 0
@@ -225,7 +259,7 @@ def _finish_trace(trace_rows, config) -> TrainTrace:
 
 
 def _check_divergence(loss, initial_loss, step):
-    if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
+    if not math.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
         raise ConvergenceError(
             f"training diverged at step {step}: loss {loss:.3e} "
             f"(initial {initial_loss:.3e})"
@@ -237,30 +271,30 @@ def gd_weight_decay(
 ) -> tuple[ParticleNetwork, TrainTrace]:
     """Full-batch gradient descent on the penalized interpolation objective."""
     rng_init, _, _ = _streams(config.seed)
-    net = _init_network(config, dataset.d, rng_init)
-    A, b, c = net.A.copy(), net.b.copy(), net.c.copy()
+    A, bc = _init_params(config, dataset.d, rng_init)  # updated in place
     eps = config.step_size
     X, y = dataset.points, dataset.targets
+    ws = _Workspace(dataset.n, config.width, dataset.d)
 
     trace_rows: list = []
     initial_loss = None
     for step in range(config.steps + 1):
-        loss, reg, gA, gb, gc = _loss_and_grads(
-            A, b, c, X, y, config.decay, config.decay_potential
-        )
+        loss, reg = _loss_and_grads(A, bc, X, y, config.decay,
+                                    config.decay_potential, ws)
         obj = loss + reg
         if initial_loss is None:
             initial_loss = max(obj, 1e-12)
         _check_divergence(obj, initial_loss, step)
         if step % config.record_stride == 0 or step == config.steps:
-            net = ParticleNetwork(A.copy(), b.copy(), c.copy())
-            _record(trace_rows, step, net, dataset, loss, reg, (gA, gb, gc))
+            _record(trace_rows, step, ParticleNetwork(A, *bc), dataset,
+                    loss, reg, (ws.gA, ws.gb, ws.gc))
         if step == config.steps:
             break
-        A = A - eps * gA
-        b = b - eps * gb
-        c = c - eps * gc
-    return ParticleNetwork(A, b, c), _finish_trace(trace_rows, config)
+        ws.gA *= eps
+        A -= ws.gA
+        ws.gbc *= eps
+        bc -= ws.gbc
+    return ParticleNetwork(A, *bc), _finish_trace(trace_rows, config)
 
 
 def _perturbed_labels(dataset: Dataset, config: TrainConfig, rng_sample,
@@ -296,50 +330,45 @@ def sgd_label_noise(
     and CLI artifacts bit for bit.
     """
     rng_init, rng_sample, rng_noise = _streams(config.seed)
-    net = _init_network(config, dataset.d, rng_init)
-    A, b, c = net.A.copy(), net.b.copy(), net.c.copy()
-    eps = config.step_size
-    m = config.width
+    A, bc = _init_params(config, dataset.d, rng_init)
+    b, c = bc
+    eps, m, stride = config.step_size, config.width, config.record_stride
     X, y = dataset.points, dataset.targets
     rows = list(X)
     draws = _perturbed_labels(dataset, config, rng_sample, rng_noise)
-    # per-step buffers; A, b and c are updated in place
-    pre, act, t = np.empty(m), np.empty(m), np.empty(m)
+    ws = _Workspace(dataset.n, m, dataset.d)
+    # per-step buffers; A and bc are updated in place, and the rows
+    # (active * c, act) of ta take one scaling and one subtraction from bc
+    pre, ta, tA = np.empty(m), np.empty((2, m)), np.empty_like(A)
+    t, act = ta
+    t_col = t[:, None]
     active = np.empty(m, dtype=bool)
-    tA = np.empty_like(A)
+    dot, maximum, greater, multiply = np.dot, np.maximum, np.greater, np.multiply
 
     trace_rows: list = []
     initial_loss = None
-    for step in range(config.steps + 1):
-        if step % config.record_stride == 0 or step == config.steps:
-            # decay stripped so recorded gradients are pure data gradients
-            loss, reg, gA, gb, gc = _loss_and_grads(
-                A, b, c, X, y, 0.0, config.decay_potential
-            )
-            if initial_loss is None:
-                initial_loss = max(loss, 1e-12)
-            _check_divergence(loss, initial_loss, step)
-            _record(trace_rows, step, ParticleNetwork(A, b, c), dataset,
-                    loss, reg, (gA, gb, gc))
-        if step == config.steps:
-            break
-
-        i, ytil = next(draws)
-        x = rows[i]
-        np.matmul(A, x, out=pre)
-        pre += b
-        np.maximum(0.0, pre, out=act)
-        e = float(act @ c) / m - ytil
-        # gradient of (f - y~)^2, no 1/2 factor; relu'(0) = 0
-        s = eps * (2.0 * e / m)
-        np.greater(pre, 0.0, out=active)
-        np.multiply(active, c, out=t)
-        t *= s
-        np.multiply(t[:, None], x, out=tA)
-        A -= tA
-        b -= t
-        np.multiply(act, s, out=t)
-        c -= t
+    for step in chain(range(0, config.steps, stride), [config.steps]):
+        # decay stripped so recorded gradients are pure data gradients
+        loss, reg = _loss_and_grads(A, bc, X, y, 0.0, config.decay_potential, ws)
+        if initial_loss is None:
+            initial_loss = max(loss, 1e-12)
+        _check_divergence(loss, initial_loss, step)
+        _record(trace_rows, step, ParticleNetwork(A, b, c), dataset, loss,
+                reg, (ws.gA, ws.gb, ws.gc))
+        # the stride steps up to the next record; none after the last
+        for i, ytil in islice(draws, stride):
+            x = rows[i]
+            dot(A, x, out=pre)
+            pre += b
+            maximum(0.0, pre, out=act)
+            e = float(dot(act, c)) / m - ytil
+            # gradient of (f - y~)^2, no 1/2 factor; relu'(0) = 0
+            greater(pre, 0.0, out=active)
+            multiply(active, c, out=t)
+            ta *= eps * (2.0 * e / m)
+            multiply(t_col, x, out=tA)
+            A -= tA
+            bc -= ta
     return ParticleNetwork(A, b, c), _finish_trace(trace_rows, config)
 
 

@@ -120,6 +120,71 @@ def grid_orbit_minimum(a, b, c, points, npts: int = 10_000) -> float:
     return float(min(cv.min(), values(fine).min()))
 
 
+def gd_weight_decay_reference(dataset, config):
+    """Weight-decay GD as a plain allocating loop, its gradient written out.
+
+    Shares initialisation, streams and the trace record with the package,
+    so that the gradient, the decay term and the step are what a
+    comparison checks.
+    """
+    from relucells.model import ParticleNetwork
+    from relucells.trainer import (
+        _check_divergence, _finish_trace, _init_params, _record, _streams,
+    )
+
+    rng_init, _, _ = _streams(config.seed)
+    A, bc = _init_params(config, dataset.d, rng_init)
+    b, c = bc.copy()
+    eps, lam = config.step_size, config.decay
+    X, y = dataset.points, dataset.targets
+    n, m = dataset.n, config.width
+
+    trace_rows: list = []
+    initial_loss = None
+    for step in range(config.steps + 1):
+        pre = X @ A.T + b
+        act = np.maximum(0.0, pre)
+        resid = act @ c / m - y
+        loss = 0.5 * float(resid @ resid) / n
+        # relu'(0) = 0: the hinge contributes nothing
+        rmask = (pre > 0.0).astype(float) * resid[:, None]
+        gA = (rmask.T @ X) * c[:, None] / (n * m)
+        gb = np.sum(rmask, axis=0) * c / (n * m)
+        gc = act.T @ resid / (n * m)
+        reg = 0.0
+        if lam > 0.0:
+            if config.decay_potential == "norm-squared":
+                val = float(np.sum(A**2) + np.sum(b**2) + np.sum(c**2))
+                dA, db, dc = 2.0 * A, 2.0 * b, 2.0 * c
+            else:  # path norm; subgradient 0 at either zero factor
+                norms = np.sqrt(np.sum(A**2, axis=1) + b**2)
+                absc = np.abs(c)
+                val = float(np.sum(absc * norms))
+                safe = np.where(norms > 0, norms, 1.0)
+                dA = (absc / safe)[:, None] * A
+                db = (absc / safe) * b
+                dc = np.sign(c) * norms
+            scale = lam / m
+            reg = scale * val
+            gA = gA + scale * dA
+            gb = gb + scale * db
+            gc = gc + scale * dc
+
+        obj = loss + reg
+        if initial_loss is None:
+            initial_loss = max(obj, 1e-12)
+        _check_divergence(obj, initial_loss, step)
+        if step % config.record_stride == 0 or step == config.steps:
+            net = ParticleNetwork(A.copy(), b.copy(), c.copy())
+            _record(trace_rows, step, net, dataset, loss, reg, (gA, gb, gc))
+        if step == config.steps:
+            break
+        A = A - eps * gA
+        b = b - eps * gb
+        c = c - eps * gc
+    return ParticleNetwork(A, b, c), _finish_trace(trace_rows, config)
+
+
 def sgd_label_noise_reference(dataset, config):
     """Label-noise SGD as a plain per-step loop, one scalar draw per step.
 
@@ -128,13 +193,13 @@ def sgd_label_noise_reference(dataset, config):
     """
     from relucells.model import ParticleNetwork
     from relucells.trainer import (
-        TrainConfig, _check_divergence, _finish_trace, _init_network,
+        TrainConfig, _check_divergence, _finish_trace, _init_params,
         _record, _streams, objective_and_grads,
     )
 
     rng_init, rng_sample, rng_noise = _streams(config.seed)
-    net = _init_network(config, dataset.d, rng_init)
-    A, b, c = net.A.copy(), net.b.copy(), net.c.copy()
+    A, bc = _init_params(config, dataset.d, rng_init)
+    b, c = bc.copy()
     eps = config.step_size
     n, m = dataset.n, config.width
     X, y = dataset.points, dataset.targets

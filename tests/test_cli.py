@@ -62,6 +62,8 @@ def test_train_and_analyze_roundtrip(tmp_path, ds_csv):
     assert rc == 0
     report = json.loads((out / "train_report.json").read_text())
     assert report["final_loss"] < 1e-2
+    # 31 records of a width-32 network take part of the run, not all of it
+    assert 0.0 < report["record_seconds"] <= report["seconds"]
     assert (out / "trace.csv").exists()
 
     out2 = tmp_path / "analysis"
@@ -83,6 +85,17 @@ def test_train_label_noise_smoke(tmp_path, ds_csv):
     assert rc == 0
     report = json.loads((out / "train_report.json").read_text())
     assert report["algo"] == "label-noise"
+
+
+@pytest.mark.parametrize("flags", [["--record-stride", "0"],
+                                   ["--record-stride", "-5"]])
+def test_train_rejects_a_stride_below_one(tmp_path, ds_csv, capsys, flags):
+    out = tmp_path / "bad"
+    rc = main(["train", str(ds_csv), "--out", str(out), "--steps", "10",
+               *flags])
+    assert rc == 1
+    assert "record_stride >= 1" in capsys.readouterr().err
+    assert not (out / "train_report.json").exists()
 
 
 def test_compare_command_and_threshold(tmp_path, ds_csv):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import sgd_label_noise_reference
+from oracles import gd_weight_decay_reference, sgd_label_noise_reference
 from relucells import trainer
 from relucells.errors import ConvergenceError, PreconditionError
 from relucells.arrangement import enumerate_cells
@@ -143,6 +143,11 @@ def test_config_validation():
         TrainConfig(decay_potential="l7")
     with pytest.raises(PreconditionError):
         TrainConfig(noise_dist="cauchy")
+    # a stride of 0 divided by zero; a negative one recorded every |stride|
+    for bad in (dict(record_stride=0), dict(record_stride=-3),
+                dict(interp_patience=0)):
+        with pytest.raises(PreconditionError):
+            TrainConfig(**bad)
 
 
 def test_gd_deterministic(ds3):
@@ -220,31 +225,56 @@ def test_sgd_records_no_decay_term(ds2):
         assert np.array_equal(getattr(net1, name), getattr(net0, name))
 
 
-@pytest.mark.parametrize("noise_dist", ["rademacher", "gaussian"])
-@pytest.mark.parametrize(
+DS_2D = Dataset(np.array([[-0.5, 0.3], [0.8, -0.2], [0.1, 0.9]]),
+                np.array([0.4, -0.6, 0.2]))
+TRACE_COLUMNS = ("steps", "loss", "lam_value", "reg_value", "support",
+                 "grad_norm")
+STRIDES = pytest.mark.parametrize(
     "steps, stride", [(40, 1), (500, 7), (300, 1_000)],
     ids=["every-step", "stride-not-dividing", "stride-beyond-steps"],
 )
+
+
+def _assert_same_run(run, ref):
+    (net, trace), (ref_net, ref_trace) = run, ref
+    for name in ("A", "b", "c"):
+        assert np.array_equal(getattr(net, name), getattr(ref_net, name))
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(trace, name), getattr(ref_trace, name))
+    assert trace.interpolation_step == ref_trace.interpolation_step
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+@pytest.mark.parametrize(
+    "decay, potential",
+    [(0.05, "norm-squared"), (0.05, "path-norm"), (0.0, "norm-squared")],
+    ids=["norm-squared", "path-norm", "no-decay"],
+)
+@STRIDES
+def test_gd_matches_per_step_reference(ds3, d, decay, potential, steps,
+                                       stride):
+    ds = ds3 if d == 1 else DS_2D
+    # an odd width puts the rows of every stacked (2, m) array off 16 bytes;
+    # the loose interpolation test sets interpolation_step in 6 of 18 cases
+    cfg = TrainConfig(width=13, steps=steps, step_size=1.0, decay=decay,
+                      decay_potential=potential, seed=3, record_stride=stride,
+                      interp_tol=0.02, interp_patience=3)
+    _assert_same_run(gd_weight_decay(ds, cfg),
+                     gd_weight_decay_reference(ds, cfg))
+
+
+@pytest.mark.parametrize("noise_dist", ["rademacher", "gaussian"])
+@STRIDES
 def test_sgd_matches_per_step_reference(monkeypatch, ds2, noise_dist, steps,
                                         stride):
-    ds_2d = Dataset(np.array([[-0.5, 0.3], [0.8, -0.2], [0.1, 0.9]]),
-                    np.array([0.4, -0.6, 0.2]))
-    for ds in (ds2, ds_2d):
+    for ds in (ds2, DS_2D):
         cfg = TrainConfig(width=12, steps=steps, step_size=0.1, noise=0.3,
                           noise_dist=noise_dist, seed=5, record_stride=stride)
-        ref_net, ref_trace = sgd_label_noise_reference(ds, cfg)
+        ref = sgd_label_noise_reference(ds, cfg)
         # a 13-step block splits the draws at arbitrary points
         for block in (trainer.DRAW_BLOCK, 13):
             monkeypatch.setattr(trainer, "DRAW_BLOCK", block)
-            net, trace = sgd_label_noise(ds, cfg)
-            for name in ("A", "b", "c"):
-                assert np.array_equal(getattr(net, name),
-                                      getattr(ref_net, name))
-            for name in ("steps", "loss", "lam_value", "reg_value", "support",
-                         "grad_norm"):
-                assert np.array_equal(getattr(trace, name),
-                                      getattr(ref_trace, name))
-            assert trace.interpolation_step == ref_trace.interpolation_step
+            _assert_same_run(sgd_label_noise(ds, cfg), ref)
 
 
 def test_interpolation_step_flag(ds2):
