@@ -1,38 +1,29 @@
 """Dense primal simplex with Bland's rule.
 
-Shared kernel for the l1 linear program and for the cell-margin
-feasibility subproblems of the arrangement builder. Standard form:
+Shared kernel for the l1 re-check of the solver and for the cell-margin
+feasibility subproblems of the arrangement builder. Both LPs are built in
+canonical form,
 
-    min c^T x   s.t.   A x = b,  x >= 0.
+    min c^T x   s.t.   T x = rhs,  x >= 0,  rhs >= 0,
 
-`simplex` runs two phases: phase 1 finds a feasible basis from artificial
-variables. `max_margin` needs no phase 1: its tableau is built in canonical
-form, whose slack columns are a feasible starting basis (theta = 0, t = 0).
-Bland's rule (smallest eligible index enters, smallest-index tie break on
-the ratio test) guarantees termination without cycling, also from the
-degenerate slack basis (Bland 1977). Instances here are small and dense;
-no effort is made to exploit sparsity.
+where every row has its own slack column, so the all-slack basis is
+feasible (the margin LP's theta = 0, t = 0; the l1 dual's lam = 0) and one
+phase of Bland pivots runs from it on the original cost. Bland's rule
+(smallest eligible index enters, smallest-index tie break on the ratio
+test) guarantees termination without cycling, also from a degenerate slack
+basis (Bland 1977). Instances here are small and dense; no effort is made
+to exploit sparsity.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, NumericalError
 
 PIVOT_EPS = 1e-10
-# pivot budget of one simplex phase
+# pivot budget of one LP
 MAX_PIVOTS = 100_000
-
-
-@dataclass
-class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray
-    objective: float
-    basis: list[int]
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -42,15 +33,6 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     rows = rows[rows != row]
     T[rows] -= T[rows, col][:, None] * T[row]
     basis[row] = col
-
-
-def _phase1_costs(T: np.ndarray, basis: list[int], n: int) -> None:
-    """Phase-1 reduced-cost row (sum of artificials) for the current basis."""
-    T[-1] = 0.0
-    T[-1, n:-1] = 1.0
-    for i, bi in enumerate(basis):
-        if bi >= n:
-            T[-1] -= T[i]
 
 
 def _run_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
@@ -83,81 +65,54 @@ def _run_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
     raise RuntimeError("simplex exceeded pivot budget")
 
 
-def _optimum(T: np.ndarray, basis: list[int], c: np.ndarray) -> SimplexResult:
-    """Read the basic solution of an optimal tableau over the columns of c."""
-    x = np.zeros(c.shape[0])
+def _basic_solution(T: np.ndarray, basis: list[int], nvar: int) -> np.ndarray:
+    """Read the basic solution of a tableau over its first nvar columns."""
+    x = np.zeros(nvar)
     for i, bi in enumerate(basis):
-        if bi < c.shape[0]:
+        if bi < nvar:
             x[bi] = T[i, -1]
-    return SimplexResult("optimal", x, float(c @ x), basis)
+    return x
 
 
-def simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
-    """Solve min c^T x s.t. Ax = b, x >= 0 by two-phase primal simplex."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    A = A.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
+def lp_min_l1(A: np.ndarray, y: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+    """min ||z||_1 s.t. ||A z - y||_inf <= eps, through its dual
 
-    # Phase 1: artificial variables form the initial basis.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    basis = list(range(n, n + m))
-    _phase1_costs(T, basis, n)
-    status = _run_phase(T, basis, n + m)
-    if status == "unbounded":
-        # phase 1 is bounded below by 0, so its cost row has drifted from
-        # the tableau: rebuild it from the current basis and resume
-        _phase1_costs(T, basis, n)
-        status = _run_phase(T, basis, n + m)
-        if status == "unbounded":
-            raise NumericalError("simplex phase 1 reported an unbounded ray")
-    if status != "optimal" or T[-1, -1] < -1e-7:
-        return SimplexResult("infeasible", np.zeros(n), np.inf, basis)
+        max y.lam - eps ||lam||_1   s.t.   -1 <= A^T lam <= 1.
 
-    # Drive lingering artificials out of the basis where possible.
-    for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                if abs(T[i, j]) > PIVOT_EPS:
-                    _pivot(T, basis, i, j)
-                    break
+    lam = p - q with p, q >= 0, and lam = 0 is feasible, so the tableau is
+    built in canonical form around that point: the rows A^T lam + s+ = 1 and
+    -A^T lam + s- = 1 each have their own slack. Bland pivots start from
+    that all-slack basis on the original cost, with no phase 1. z is read
+    from the reduced costs of the two slack blocks, z = r(s+) - r(s-). At
+    most n = len(y) of p, q are basic, so at most n slacks are nonbasic and
+    z has at most n nonzeros.
 
-    # Phase 2 on the original objective; redundant rows (artificial basics
-    # with zero value) are kept but can never pivot on original columns.
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    for i in range(m):
-        if basis[i] < n:
-            T[-1] -= T[-1, basis[i]] * T[i]
-    T[:, n : n + m] = 0.0  # freeze artificial columns
-    status = _run_phase(T, basis, n)
-    if status == "unbounded":
-        return SimplexResult("unbounded", np.zeros(n), -np.inf, basis)
-    return _optimum(T, basis, c)
-
-
-def lp_min_l1(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """min ||z||_1 s.t. Az = y via the split z = z+ - z-, z± >= 0.
-
-    Returns a basic optimal solution, hence with at most n = len(y)
-    nonzero entries. Raises InfeasibleError when y is outside range(A).
+    Returns (z, y.lam). lam is feasible for the dual of the exact program
+    (eps = 0), so y.lam bounds that program's optimum from below; it
+    exceeds ||z||_1 by eps ||lam||_1. Raises InfeasibleError when the dual
+    is unbounded, that is when no z reaches y within eps.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     n, s = A.shape
-    c = np.ones(2 * s)
-    res = simplex(c, np.hstack([A, -A]), y)
-    if res.status == "infeasible":
-        raise InfeasibleError("l1 program: targets are not in the range of A")
-    z = res.x[:s] - res.x[s:]
-    return z, res.objective
+    # variables: p(n), q(n), slack+(s), slack-(s)
+    nvar = 2 * n + 2 * s
+    T = np.zeros((2 * s + 1, nvar + 1))
+    T[:s, :n] = A.T
+    T[:s, n : 2 * n] = -A.T
+    T[s:-1, :n] = -A.T
+    T[s:-1, n : 2 * n] = A.T
+    T[:-1, 2 * n : nvar] = np.eye(2 * s)
+    T[:-1, -1] = 1.0
+    # min (eps - y).p + (eps + y).q; zero on the slacks, so already reduced
+    T[-1, :n] = eps - y
+    T[-1, n : 2 * n] = eps + y
+    basis = list(range(2 * n, nvar))
+    if _run_phase(T, basis, nvar) == "unbounded":
+        raise InfeasibleError("l1 program: no z reaches the targets within eps")
+    x = _basic_solution(T, basis, nvar)
+    z = T[-1, 2 * n : 2 * n + s] - T[-1, 2 * n + s : nvar]
+    return z, float(y @ (x[:n] - x[n : 2 * n]))
 
 
 def max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
@@ -199,6 +154,5 @@ def max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
     status = _run_phase(T, basis, nvar)
     if status != "optimal":  # cannot happen: feasible and bounded
         raise NumericalError(f"margin subproblem returned {status}")
-    res = _optimum(T, basis, c)
-    theta = res.x[:k] - res.x[k : 2 * k]
-    return -res.objective, theta
+    x = _basic_solution(T, basis, nvar)
+    return -float(c @ x), x[:k] - x[k : 2 * k]

@@ -25,9 +25,10 @@ faces, so it is the nearest in-cone point among the projections onto the
 spans {v : <v, n_i> = 0, i in S} for sets S of at most d walls of the
 cell, or the origin.
 
-The module also exposes the l1 linear program over fixed sphere
-directions, solved with the in-house simplex so that basic solutions give
-the at-most-n support bound for free.
+The module also exposes the l1 re-check over fixed sphere directions:
+min ||z||_1 s.t. ||A z - y||_inf <= eps at the solver's feasibility scale,
+solved as its dual from the slack basis by the in-house simplex, so that
+basic solutions give the at-most-n support bound for free.
 """
 
 from __future__ import annotations
@@ -578,8 +579,17 @@ class LPInstance:
 
 
 def lp_l1(instance: LPInstance) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve the l1 program by two-phase simplex; returns (z, support, objective)."""
-    z, obj = _simplex.lp_min_l1(instance.A, instance.y)
+    """Re-solve the interpolation over the instance's columns as the l1
+    program min ||z||_1 s.t. ||A z - y||_inf <= eps, eps = TOL_FEAS (1 +
+    ||y||_inf), the solver's own feasibility scale, so that a measure that
+    interpolates only to that scale still counts. Returns (z, support,
+    objective), with at most n entries in the support. The objective is
+    y.lam for the optimal dual lam, a lower bound on the exact program
+    (A z = y) over these columns that exceeds ||z||_1 by eps ||lam||_1.
+    Raises InfeasibleError when no z reaches y within eps.
+    """
+    eps = TOL_FEAS * (1.0 + float(np.max(np.abs(instance.y), initial=0.0)))
+    z, obj = _simplex.lp_min_l1(instance.A, instance.y, eps)
     support = np.flatnonzero(np.abs(z) > 1e-9 * max(1.0, float(np.max(np.abs(z)))))
     return z, support, obj
 

@@ -6,14 +6,19 @@ objective oracles are only valid for d = 1 (directions live on the circle);
 the weak-duality bound over a sphere grid covers d = 2. The reference loops
 at the end keep the plain per-step and per-pair forms, and the slower
 iterations, of code the package runs vectorised, in closed form or by a
-faster method, for equality checks.
+faster method, for equality checks, and the two-phase simplex is the
+reference for the package's one-phase LPs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from relucells._simplex import PIVOT_EPS, _pivot, _run_phase
+from relucells.errors import NumericalError
 
 
 def _weights(kind: str, lifted: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -352,6 +357,94 @@ def gauge_prox_bisection_reference(Q, kappa, W, t):
     )
     factor = np.where(tau[:, None] > 0.0, factor, 1.0)
     return np.einsum("bkj,bj->bk", U, xi0 * factor)
+
+
+@dataclass
+class SimplexResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: np.ndarray
+    objective: float
+    basis: list[int]
+
+
+def _phase1_costs(T: np.ndarray, basis: list[int], n: int) -> None:
+    """Phase-1 reduced-cost row (sum of artificials) for the current basis."""
+    T[-1] = 0.0
+    T[-1, n:-1] = 1.0
+    for i, bi in enumerate(basis):
+        if bi >= n:
+            T[-1] -= T[i]
+
+
+def _optimum(T: np.ndarray, basis: list[int], c: np.ndarray) -> SimplexResult:
+    """Read the basic solution of an optimal tableau over the columns of c."""
+    x = np.zeros(c.shape[0])
+    for i, bi in enumerate(basis):
+        if bi < c.shape[0]:
+            x[bi] = T[i, -1]
+    return SimplexResult("optimal", x, float(c @ x), basis)
+
+
+def simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
+    """Solve min c^T x s.t. Ax = b, x >= 0 by two-phase primal simplex.
+
+    The reference for the package's one-phase LPs: phase 1 finds a feasible
+    basis from artificial variables, with the package's Bland pivots.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).copy()
+    c = np.asarray(c, dtype=float)
+    m, n = A.shape
+    A = A.copy()
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+
+    # Phase 1: artificial variables form the initial basis.
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    basis = list(range(n, n + m))
+    _phase1_costs(T, basis, n)
+    status = _run_phase(T, basis, n + m)
+    if status == "unbounded":
+        # phase 1 is bounded below by 0, so its cost row has drifted from
+        # the tableau: rebuild it from the current basis and resume
+        _phase1_costs(T, basis, n)
+        status = _run_phase(T, basis, n + m)
+        if status == "unbounded":
+            raise NumericalError("simplex phase 1 reported an unbounded ray")
+    if status != "optimal" or T[-1, -1] < -1e-7:
+        return SimplexResult("infeasible", np.zeros(n), np.inf, basis)
+
+    # Drive lingering artificials out of the basis where possible.
+    for i in range(m):
+        if basis[i] >= n:
+            for j in range(n):
+                if abs(T[i, j]) > PIVOT_EPS:
+                    _pivot(T, basis, i, j)
+                    break
+
+    # Phase 2 on the original objective; redundant rows (artificial basics
+    # with zero value) are kept but can never pivot on original columns.
+    T[-1, :] = 0.0
+    T[-1, :n] = c
+    for i in range(m):
+        if basis[i] < n:
+            T[-1] -= T[-1, basis[i]] * T[i]
+    T[:, n : n + m] = 0.0  # freeze artificial columns
+    status = _run_phase(T, basis, n)
+    if status == "unbounded":
+        return SimplexResult("unbounded", np.zeros(n), -np.inf, basis)
+    return _optimum(T, basis, c)
+
+
+def lp_min_l1_two_phase(A, y) -> SimplexResult:
+    """min ||z||_1 s.t. A z = y exactly, as `simplex` solves it over the
+    split z = x[:s] - x[s:], x >= 0."""
+    A = np.asarray(A, dtype=float)
+    return simplex(np.ones(2 * A.shape[1]), np.hstack([A, -A]), y)
 
 
 def margin_lp_two_phase(rows, signs):

@@ -43,7 +43,7 @@ def test_enumerate_survives_drifted_phase1_costs():
     # two-phase margin LPs on this dataset drift far enough for phase 1 to
     # report an unbounded ray. Enumeration starts its LPs from the slack
     # basis and runs no phase 1; test_simplex_rebuilds_drifted_phase1_costs
-    # solves those two LPs by two-phase simplex directly
+    # solves those two LPs by the two-phase reference simplex in oracles
     rng = np.random.default_rng([32, 9])
     ds = Dataset(rng.normal(size=(16, 1)), rng.normal(size=16))
     dec = enumerate_cells(ds)

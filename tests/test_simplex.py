@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import margin_lp_two_phase
-from relucells import _simplex
-from relucells._simplex import lp_min_l1, max_margin, simplex
+import oracles
+from oracles import lp_min_l1_two_phase, margin_lp_two_phase, simplex
+from relucells._simplex import PIVOT_EPS, lp_min_l1, max_margin
 from relucells.errors import InfeasibleError
 
 # Sign patterns of the two 19 x 25 two-phase margin LPs (15 lifted rows of
@@ -49,24 +49,39 @@ def test_simplex_negative_rhs():
     assert res.x == pytest.approx([2.0, 1.0])
 
 
+def _within(A, y, z, eps):
+    # the dual's reduced costs are optimal to the pivot tolerance
+    if eps > 0.0:
+        assert np.max(np.abs(A @ z - y)) <= eps + PIVOT_EPS
+
+
+# the exact program and a tolerant one whose eps keeps the assertions
+EPS = (0.0, 1e-9)
+
+
 def test_lp_min_l1_identity():
-    z, obj = lp_min_l1(np.eye(2), np.array([2.0, -3.0]))
-    assert z == pytest.approx([2.0, -3.0])
-    assert obj == pytest.approx(5.0)
+    for eps in EPS:
+        z, obj = lp_min_l1(np.eye(2), np.array([2.0, -3.0]), eps)
+        assert z == pytest.approx([2.0, -3.0])
+        assert obj == pytest.approx(5.0)
+        _within(np.eye(2), np.array([2.0, -3.0]), z, eps)
 
 
 def test_lp_min_l1_prefers_sparse_column():
     # y reachable via one column of cost 1 or two of cost 2
     A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     y = np.array([1.0, 1.0])
-    z, obj = lp_min_l1(A, y)
-    assert obj == pytest.approx(1.0)
-    assert z == pytest.approx([1.0, 0.0, 0.0])
+    for eps in EPS:
+        z, obj = lp_min_l1(A, y, eps)
+        assert obj == pytest.approx(1.0)
+        assert z == pytest.approx([1.0, 0.0, 0.0])
+        _within(A, y, z, eps)
 
 
 def test_lp_min_l1_infeasible():
-    with pytest.raises(InfeasibleError):
-        lp_min_l1(np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
+    for eps in EPS:
+        with pytest.raises(InfeasibleError):
+            lp_min_l1(np.array([[1.0], [1.0]]), np.array([1.0, 2.0]), eps)
 
 
 def test_lp_min_l1_basic_support_bound():
@@ -75,9 +90,27 @@ def test_lp_min_l1_basic_support_bound():
         n, s = 3, 12
         A = np.abs(rng.normal(size=(n, s)))
         y = A @ np.abs(rng.normal(size=s))
-        z, _ = lp_min_l1(A, y)
-        assert np.sum(np.abs(z) > 1e-9) <= n
-        assert A @ z == pytest.approx(y, abs=1e-8)
+        for eps in EPS:
+            z, _ = lp_min_l1(A, y, eps)
+            assert np.sum(np.abs(z) > 1e-9) <= n
+            assert A @ z == pytest.approx(y, abs=1e-8)
+            _within(A, y, z, eps)
+
+
+def test_lp_min_l1_tolerates_near_duplicate_columns():
+    # two columns 1e-10 apart and targets 1e-9 off their common line: the
+    # exact program must pay 19 to absorb the gap, the tolerant one pays 1
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+    y = np.array([1.0, 1.0 + 1e-9])
+    eps = 1e-7 * (1.0 + np.max(np.abs(y)))
+    z, obj = lp_min_l1(A, y, eps)
+    assert obj == pytest.approx(1.0, rel=1e-6)
+    assert np.sum(np.abs(z)) == pytest.approx(1.0, rel=1e-6)
+    assert np.sum(np.abs(z) > 1e-9) <= 2
+    _within(A, y, z, eps)
+    ref = lp_min_l1_two_phase(A, y)
+    assert ref.status == "optimal"
+    assert ref.objective == pytest.approx(19.0, rel=1e-6)
 
 
 def test_max_margin_single_row():
@@ -108,8 +141,8 @@ def test_simplex_rebuilds_drifted_phase1_costs(pattern, monkeypatch):
     c, A, b = margin_lp_two_phase(rows, pattern)
     assert A.shape == (19, 25)
     builds = []
-    build = _simplex._phase1_costs
-    monkeypatch.setattr(_simplex, "_phase1_costs",
+    build = oracles._phase1_costs
+    monkeypatch.setattr(oracles, "_phase1_costs",
                         lambda *a: builds.append(1) or build(*a))
     res = simplex(c, A, b)
     # built once at the start, rebuilt once when phase 1 drifted

@@ -284,6 +284,23 @@ def test_lp_l1_reproduces_solver_objective(ds3, dec3):
     assert len(support) <= ds3.n
 
 
+@pytest.mark.parametrize("flag", ["tv", "label-noise"])
+@pytest.mark.parametrize("seed", [5, 1])
+def test_plane_lp_l1_reproduces_solver_objective(seed, flag):
+    # the extracted measures split a wall ray into two near-identical
+    # columns; the exact-equality LP took a costly vertex on 1/tv (3.42
+    # against 1.398) and on 5/label-noise (6.22 against 0.986)
+    ds = Dataset(*PLANE[seed])
+    kind = PotentialKind.from_flag(flag, ds)
+    prog = build_program(ds, enumerate_cells(ds), kind)
+    sol = solve(prog)
+    assert sol.converged
+    nu = extract_radon(prog, sol)
+    z, support, obj = lp_l1(LPInstance.from_directions(ds, nu.directions, kind))
+    assert obj == pytest.approx(sol.objective, rel=1e-6)
+    assert len(support) <= ds.n
+
+
 def test_optimality_certificate(ds3, dec3):
     prog = build_program(ds3, dec3, PotentialKind.tv())
     sol = solve(prog)
