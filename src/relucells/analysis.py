@@ -2,8 +2,8 @@
 
 The sparsity unit is a ray: a direction on the lifted sphere carrying
 signed Radon mass. Atoms are grouped into rays per cell by single-linkage
-angular clustering, which yields the effective support count, the
-one-ray-per-cell check, and cross-representation comparisons. The
+angular clustering (model.ray_labels), which yields the effective support
+count, the one-ray-per-cell check, and cross-representation comparisons. The
 moment-preserving merge collapses all same-cell same-sign atoms into one
 without changing predictions at the datapoints.
 """
@@ -24,6 +24,7 @@ from .model import (
     RadonMeasure,
     angle,
     merge_identical_rays,
+    ray_labels,
     sphere_atoms,
 )
 
@@ -35,29 +36,12 @@ TAU_MASS_REL = 1e-4
 
 
 def cluster_directions(dirs: np.ndarray, tau_angle: float) -> list[list[int]]:
-    """Single-linkage groups of unit vectors at angular threshold tau_angle."""
-    k = dirs.shape[0]
-    if k == 0:
-        return []
-    cos = np.clip(dirs @ dirs.T, -1.0, 1.0)
-    close = np.arccos(cos) <= tau_angle
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    rows, cols = np.nonzero(np.triu(close, 1))  # row-major pair order
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
+    """Single-linkage groups of unit vectors at angle < tau_angle, each
+    ascending, ordered by their smallest index."""
+    labels = ray_labels(dirs, tau_angle)
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [g.tolist() for g in np.split(order, cuts)] if labels.size else []
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 Every datapoint x_i induces the hyperplane {theta : <theta, x~_i> = 0} in
 the lifted parameter space R^{d+1}. The full-dimensional regions of this
 arrangement are closed convex cones ("cells"); two inner-layer parameters
-lie in the same cell iff they activate the same datapoints. Enumeration is
-by incremental insertion from the empty sign pattern. A candidate sign
-extension is admitted by a margin-maximization LP, except on the side of
-the new hyperplane that holds its parent's witness, which that witness
-already proves. A cell's witness and margin are those of the LP that
-admitted its full pattern; no cell is solved twice.
+lie in the same cell iff they activate the same datapoints. Repeated
+points, whose lifted rows lie on one ray (model.ray_labels), give one
+hyperplane. Enumeration is by incremental insertion from the empty sign
+pattern. A candidate sign extension is admitted by a margin-maximization
+LP, except on the side of the new hyperplane that holds its parent's
+witness, which that witness already proves. A cell's witness and margin
+are those of the LP that admitted its full pattern; no cell is solved
+twice.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from ._simplex import max_margin
 from .errors import CellLookupError, PreconditionError, ZeroDirectionError
-from .model import Dataset
+from .model import DIRECTION_MERGE_TOL, Dataset, ray_labels
 
 FEASIBILITY_EPS = 1e-9
 BOUNDARY_EPS = 1e-9
@@ -79,26 +81,18 @@ def is_generic(dataset: Dataset) -> bool:
 
 
 def _dedup_hyperplanes(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group identical lifted points; returns (unique rows, rep index per row)."""
-    n = lifted.shape[0]
-    rep = np.full(n, -1, dtype=int)
-    uniq = []
-    for i in range(n):
-        for u, row in enumerate(uniq):
-            if np.max(np.abs(lifted[i] - row)) <= 1e-12 * max(
-                1.0, np.max(np.abs(row))
-            ):
-                rep[i] = u
-                break
-        else:
-            rep[i] = len(uniq)
-            uniq.append(lifted[i])
-    if len(uniq) < n:
+    """Group lifted points on one ray, which for rows (x, 1) means equal
+    points; returns (unique rows, rep index per row)."""
+    labels = ray_labels(
+        lifted / np.linalg.norm(lifted, axis=1)[:, None], DIRECTION_MERGE_TOL
+    )
+    heads, rep = np.unique(labels, return_inverse=True)
+    if heads.size < labels.size:
         warnings.warn(
-            f"{n - len(uniq)} duplicate datapoint(s) produce identical "
-            "hyperplanes; deduplicated for enumeration"
+            f"{labels.size - heads.size} duplicate datapoint(s) produce "
+            "identical hyperplanes; deduplicated for enumeration"
         )
-    return np.array(uniq), rep
+    return lifted[heads], rep
 
 
 def enumerate_cells(dataset: Dataset) -> CellDecomposition:

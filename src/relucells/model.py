@@ -4,6 +4,10 @@ A width-m network f(x) = (1/m) sum_j c_j relu(a_j.x + b_j) is carried in
 four interchangeable forms: raw neurons, a particle network, a lifted
 atomic measure over (a, b, c), and its projection to a signed measure on
 the unit sphere of lifted directions (a, b)/||(a, b)||.
+
+ray_labels is the package's one rule for which directions lie on one ray:
+single-linkage groups at angle < tol. Enumeration, extraction, merging and
+clustering all call it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ RELU_HINGE_SUBGRADIENT = 0.0
 # Two sphere directions are merged when their angular distance is below this.
 DIRECTION_MERGE_TOL = 1e-10
 
-# Shortlist margin on cosines for the Gram pass of merge_identical_rays; far
-# above the rounding gap between a matrix product and a vector dot product.
+# Shortlist margin on cosines for the Gram pass of ray_labels; far above
+# the rounding gap between a matrix product and a vector dot product.
 _GRAM_SLACK = 1e-9
 
 
@@ -311,33 +315,42 @@ def angle(U, V) -> np.ndarray:
     )
 
 
-def merge_identical_rays(dirs: np.ndarray, masses: np.ndarray):
-    """Merge unit directions that coincide within DIRECTION_MERGE_TOL.
+def ray_labels(dirs: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage groups of unit vectors at angle(u, v) < tol.
 
-    Greedy first match in input order: each direction joins the first
-    earlier kept direction u with angle(u, v) < DIRECTION_MERGE_TOL, else it
-    is kept. One Gram-matrix pass shortlists candidate pairs and angle()
-    confirms each, so rounding in the matrix product cannot change which
-    rays merge.
-
-    Returns (heads, summed, rep): indices of the kept directions, masses
-    summed in input order (read at heads), and for every direction the index
-    of the kept direction it joined.
+    Returns one label per row: the smallest index in its group. One
+    Gram-matrix pass shortlists candidate pairs and angle() confirms each,
+    so rounding in the matrix product cannot change which rays join. The
+    groups are the connected components of the confirmed pairs, found by
+    min-label propagation with pointer jumping.
     """
-    k = dirs.shape[0]
-    rep = np.arange(k)
-    summed = np.array(masses, dtype=float)
-    if k > 1:
-        near = np.triu(
-            dirs @ dirs.T >= np.cos(DIRECTION_MERGE_TOL) - _GRAM_SLACK, 1
-        )
-        later, earlier = np.nonzero(near.T)  # j ascending, then i ascending
-        close = angle(dirs[earlier], dirs[later]) < DIRECTION_MERGE_TOL
-        for j, i in zip(later[close].tolist(), earlier[close].tolist()):
-            if rep[j] == j and rep[i] == i:
-                rep[j] = i
-                summed[i] += summed[j]
-    return np.flatnonzero(rep == np.arange(k)), summed, rep
+    labels = np.arange(dirs.shape[0])
+    i, j = np.nonzero(np.triu(dirs @ dirs.T >= np.cos(tol) - _GRAM_SLACK, 1))
+    close = angle(dirs[i], dirs[j]) < tol
+    i, j = i[close], j[close]
+    while True:
+        low = np.minimum(labels[i], labels[j])
+        new = labels.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def merge_identical_rays(dirs: np.ndarray, masses: np.ndarray):
+    """Merge unit directions that lie on one ray: ray_labels at
+    DIRECTION_MERGE_TOL, so a chain of close directions is one ray.
+
+    Returns (heads, summed, rep): indices of the kept directions (the
+    smallest index of each group), masses summed in input order (read at
+    heads), and for every direction the head of its group.
+    """
+    rep = ray_labels(dirs, DIRECTION_MERGE_TOL)
+    summed = np.zeros(rep.size)
+    np.add.at(summed, rep, masses)
+    return np.flatnonzero(rep == np.arange(rep.size)), summed, rep
 
 
 def sphere_atoms(mu: AtomicMeasure):

@@ -25,6 +25,10 @@ faces, so it is the nearest in-cone point among the projections onto the
 spans {v : <v, n_i> = 0, i in S} for sets S of at most d walls of the
 cell, or the origin.
 
+Atom extraction reads one signed atom per live block and merges blocks on
+one ray (model.merge_identical_rays), such as a wall ray that two adjacent
+cells both hold.
+
 The module also exposes the l1 re-check over fixed sphere directions:
 min ||z||_1 s.t. ||A z - y||_inf <= eps at the solver's feasibility scale,
 solved as its dual from the slack basis by the in-house simplex, so that
@@ -42,12 +46,10 @@ import numpy as np
 from . import _simplex
 from .arrangement import CellDecomposition
 from .errors import InfeasibleError, PreconditionError
-from .model import Dataset, RadonMeasure, angle, relu
+from .model import Dataset, RadonMeasure, merge_identical_rays, relu
 from .potentials import PotentialKind, cell_gauge, weight
 
 ATOM_EPS_REL = 1e-6
-# the u and v atoms of one cell within this angle sit on one ray
-SAME_RAY_ANGLE = 1e-3
 
 # Stopping rule: the primal residual (constrained) or the gap between the
 # multipliers read at the data step and at the cone step (penalized) is below
@@ -522,29 +524,30 @@ def _live_blocks(program: FiniteProgram, W: np.ndarray, atom_eps: float) -> np.n
 
 
 def extract_radon(program: FiniteProgram, solution: Solution) -> RadonMeasure:
-    """Read off the sphere atoms: u_s -> (+||u_s||, u_s/||u_s||), v_s negated."""
+    """Read off the sphere atoms: u_s -> (+||u_s||, u_s/||u_s||), v_s negated.
+
+    The live blocks are taken cell by cell, u before v, and merged by
+    merge_identical_rays: a wall ray that two adjacent cells both hold, or
+    a u/v pair on one ray, becomes one atom with the summed signed mass.
+    Atoms whose net mass is at most atom_eps are dropped.
+    """
     atom_eps = _atom_eps(solution)
     K = len(solution.u)
-    live = _live_blocks(program, np.vstack([solution.u, solution.v]), atom_eps)
+    W = np.vstack([solution.u, solution.v])
+    live = _live_blocks(program, W, atom_eps)
     dirs, masses = [], []
-    for s, (u_s, v_s) in enumerate(zip(solution.u, solution.v)):
-        nu, nv = np.linalg.norm(u_s), np.linalg.norm(v_s)
-        if live[s] and live[K + s] and angle(u_s / nu, v_s / nv) < SAME_RAY_ANGLE:
-            # same-ray cancellation leftover from the splitting iterates:
-            # the net atom stays on the shared ray with signed mass nu - nv
-            if abs(nu - nv) > atom_eps:
-                dirs.append((u_s + v_s) / np.linalg.norm(u_s + v_s))
-                masses.append(nu - nv)
-            continue
-        if live[s]:
-            dirs.append(u_s / nu)
-            masses.append(nu)
-        if live[K + s]:
-            dirs.append(v_s / nv)
-            masses.append(-nv)
+    for s in range(K):
+        for blk, sign in ((s, 1.0), (K + s, -1.0)):
+            if live[blk]:
+                norm = np.linalg.norm(W[blk])
+                dirs.append(W[blk] / norm)
+                masses.append(sign * norm)
     if not dirs:
         return RadonMeasure.empty(program.dataset.d)
-    return RadonMeasure(np.array(dirs), np.array(masses))
+    dirs = np.array(dirs)
+    heads, summed, _ = merge_identical_rays(dirs, masses)
+    keep = heads[np.abs(summed[heads]) > atom_eps]
+    return RadonMeasure(dirs[keep], summed[keep])
 
 
 @dataclass(frozen=True)
@@ -556,25 +559,19 @@ class LPInstance:
 
     @classmethod
     def from_directions(
-        cls, dataset: Dataset, directions: np.ndarray,
-        kind: PotentialKind | None = None,
+        cls, dataset: Dataset, directions: np.ndarray, kind: PotentialKind
     ) -> "LPInstance":
-        """Assemble the interpolation LP columns from candidate directions.
-
-        With a potential kind given, directions are rescaled onto the unit
-        sphere of its weight so that the optimal l1 mass equals the weighted
-        objective; otherwise directions are used as provided (Euclidean
-        normalization matches the total-variation weight).
+        """Assemble the interpolation LP columns from candidate directions,
+        rescaled onto the unit sphere of the potential's weight so that the
+        optimal l1 mass equals the weighted objective.
         """
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        if kind is not None:
-            w = weight(kind, dirs)
-            if np.any(w <= 0.0):
-                raise PreconditionError(
-                    "cannot weight-normalize a direction with zero weight"
-                )
-            dirs = dirs / w[:, None]
-        A = relu(dataset.lifted @ dirs.T)
+        w = weight(kind, dirs)
+        if np.any(w <= 0.0):
+            raise PreconditionError(
+                "cannot weight-normalize a direction with zero weight"
+            )
+        A = relu(dataset.lifted @ (dirs / w[:, None]).T)
         return cls(A, dataset.targets.copy())
 
 

@@ -201,13 +201,12 @@ def check_solver_lp(rng, quick: bool) -> tuple[bool, str]:
             es = effective_support(nu, dec)
             if one_point_per_cell(es):
                 return False, "extracted support has a doubly-occupied cell"
-            if kind.variant.value == "tv":
-                inst = LPInstance.from_directions(ds, nu.directions)
-                z, support, obj = lp_l1(inst)
-                if len(support) > n:
-                    return False, "LP basic solution exceeds the support bound"
-                if abs(obj - sol.objective) > 1e-4 * max(1.0, sol.objective):
-                    return False, f"LP objective {obj} vs solver {sol.objective}"
+            inst = LPInstance.from_directions(ds, nu.directions, kind)
+            z, support, obj = lp_l1(inst)
+            if len(support) > n:
+                return False, "LP basic solution exceeds the support bound"
+            if abs(obj - sol.objective) > 1e-4 * max(1.0, sol.objective):
+                return False, f"LP objective {obj} vs solver {sol.objective}"
     return True, f"{trials} instances"
 
 

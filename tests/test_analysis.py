@@ -40,6 +40,15 @@ def test_cluster_directions_single_linkage():
     assert sorted(map(sorted, clusters)) == [[0, 1, 2], [3]]
     # chaining: each link below tau even though endpoints are 0.02 apart
     assert len(cluster_directions(dirs[:3], tau_angle=0.005)) == 3
+    # long chains in shuffled order: on the circle, single linkage cuts
+    # exactly at the gaps of at least tau
+    rng = np.random.default_rng(3)
+    ang = np.cumsum(rng.choice([0.01, 0.01, 0.01, 0.03], size=40))
+    perm = rng.permutation(40)
+    group = np.concatenate([[0], np.cumsum(np.diff(ang) >= 0.015)])[perm]
+    want = [np.flatnonzero(group == g).tolist() for g in set(group.tolist())]
+    clusters = cluster_directions(np.array([unit(a) for a in ang[perm]]), 0.015)
+    assert clusters == sorted(want) and len(clusters) > 1
 
 
 def _assert_same_rays(got, want):

@@ -166,6 +166,17 @@ def test_duplicate_points_warn_and_dedup():
         assert cell.signs[0] == cell.signs[1]
 
 
+def test_near_duplicate_point_dedups_like_an_exact_one():
+    points = np.array([[1.0], [1.0], [0.5]])
+    targets = np.array([1.0, 1.0, 2.0])
+    with pytest.warns(UserWarning, match="duplicate"):
+        exact = enumerate_cells(Dataset(points, targets))
+    points[1, 0] += 1e-11
+    with pytest.warns(UserWarning, match="1 duplicate"):
+        near = enumerate_cells(Dataset(points, targets))
+    assert [c.signs for c in near.cells] == [c.signs for c in exact.cells]
+
+
 def test_decomposition_json_and_fingerprint(dec3, ds3):
     import json
 

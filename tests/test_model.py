@@ -7,12 +7,15 @@ from relucells.errors import (
     ZeroDirectionError,
 )
 from relucells.model import (
+    DIRECTION_MERGE_TOL,
     AtomicMeasure,
     Dataset,
     Neuron,
     ParticleNetwork,
     RadonMeasure,
+    angle,
     load_dataset_csv,
+    merge_identical_rays,
     phi,
     predict_measure,
     predict_network,
@@ -143,3 +146,14 @@ def test_opposite_sign_same_ray_cancels():
     assert nu.k == 1
     assert nu.masses[0] == pytest.approx(0.0)
     assert nu.tv_norm == pytest.approx(0.0)
+
+
+def test_merge_identical_rays_joins_a_chain():
+    # neighbours 0.6 tol apart and the ends 1.2 tol apart: single linkage
+    # makes one ray, where a greedy first match would keep two
+    t = 0.6 * DIRECTION_MERGE_TOL
+    dirs = np.array([[np.cos(a), np.sin(a)] for a in (0.0, t, 2 * t)])
+    assert angle(dirs[0], dirs[2]) >= DIRECTION_MERGE_TOL
+    heads, summed, rep = merge_identical_rays(dirs, np.array([1.0, 2.0, -0.5]))
+    assert heads.tolist() == [0] and rep.tolist() == [0, 0, 0]
+    assert summed[0] == 2.5

@@ -14,7 +14,7 @@ from oracles import (
 )
 from relucells.arrangement import enumerate_cells
 from relucells.errors import InfeasibleError, PreconditionError
-from relucells.model import Dataset, predict_radon
+from relucells.model import DIRECTION_MERGE_TOL, Dataset, angle, predict_radon
 from relucells.potentials import CellGauge, PotentialKind
 from relucells.solver import (
     LPInstance,
@@ -114,6 +114,20 @@ def test_extracted_measure_interpolates(ds3, dec3):
     assert predict_radon(nu, ds3.points) == pytest.approx(
         ds3.targets, abs=1e-6
     )
+
+
+@pytest.mark.parametrize("data, atoms", [("ds3", 3), ("plane5", 2)])
+def test_extracted_wall_rays_appear_once(data, atoms, ds3):
+    # on these datasets both cells next to a wall hold its ray, the two
+    # copies about 5e-16 rad apart
+    ds = ds3 if data == "ds3" else Dataset(*PLANE[5])
+    prog = build_program(ds, enumerate_cells(ds), PotentialKind.tv())
+    sol = solve(prog)
+    nu = extract_radon(prog, sol)
+    i, j = np.triu_indices(nu.k, 1)
+    assert np.all(angle(nu.directions[i], nu.directions[j]) >= DIRECTION_MERGE_TOL)
+    assert nu.k == atoms
+    assert nu.tv_norm == pytest.approx(sol.objective, rel=1e-6)
 
 
 def test_penalized_mode(ds3, dec3):
@@ -278,7 +292,7 @@ def test_lp_l1_reproduces_solver_objective(ds3, dec3):
     prog = build_program(ds3, dec3, PotentialKind.tv())
     sol = solve(prog)
     nu = extract_radon(prog, sol)
-    inst = LPInstance.from_directions(ds3, nu.directions)
+    inst = LPInstance.from_directions(ds3, nu.directions, PotentialKind.tv())
     z, support, obj = lp_l1(inst)
     assert obj == pytest.approx(sol.objective, rel=1e-6)
     assert len(support) <= ds3.n
@@ -287,9 +301,11 @@ def test_lp_l1_reproduces_solver_objective(ds3, dec3):
 @pytest.mark.parametrize("flag", ["tv", "label-noise"])
 @pytest.mark.parametrize("seed", [5, 1])
 def test_plane_lp_l1_reproduces_solver_objective(seed, flag):
-    # the extracted measures split a wall ray into two near-identical
-    # columns; the exact-equality LP took a costly vertex on 1/tv (3.42
-    # against 1.398) and on 5/label-noise (6.22 against 0.986)
+    # two extracted columns are nearly equal: on 1/tv a wall ray is still
+    # split, its copies 9.6e-10 rad apart (above DIRECTION_MERGE_TOL), and
+    # on 5/label-noise two directions give identical weight-normalized
+    # columns. The exact-equality LP took a costly vertex on both (3.42
+    # against 1.398, and 6.22 against 0.986)
     ds = Dataset(*PLANE[seed])
     kind = PotentialKind.from_flag(flag, ds)
     prog = build_program(ds, enumerate_cells(ds), kind)
