@@ -35,9 +35,12 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
-    """Iterate Bland pivots on tableau T (objective in last row) in place."""
-    for _ in range(MAX_PIVOTS):
+def _run_phase(T: np.ndarray, basis: list[int], ncols: int) -> tuple[str, int]:
+    """Iterate Bland pivots on tableau T (objective in last row) in place.
+
+    Returns the final status and the number of pivots made.
+    """
+    for pivots in range(MAX_PIVOTS):
         obj = T[-1, :ncols]
         entering = -1
         for j in range(ncols):
@@ -45,7 +48,7 @@ def _run_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
                 entering = j
                 break
         if entering < 0:
-            return "optimal"
+            return "optimal", pivots
         # ratio test, Bland tie break on basis index
         best_ratio = np.inf
         leaving = -1
@@ -60,7 +63,7 @@ def _run_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
                     best_ratio = ratio
                     leaving = i
         if leaving < 0:
-            return "unbounded"
+            return "unbounded", pivots
         _pivot(T, basis, leaving, entering)
     raise RuntimeError("simplex exceeded pivot budget")
 
@@ -108,22 +111,25 @@ def lp_min_l1(A: np.ndarray, y: np.ndarray, eps: float) -> tuple[np.ndarray, flo
     T[-1, :n] = eps - y
     T[-1, n : 2 * n] = eps + y
     basis = list(range(2 * n, nvar))
-    if _run_phase(T, basis, nvar) == "unbounded":
+    if _run_phase(T, basis, nvar)[0] == "unbounded":
         raise InfeasibleError("l1 program: no z reaches the targets within eps")
     x = _basic_solution(T, basis, nvar)
     z = T[-1, 2 * n : 2 * n + s] - T[-1, 2 * n + s : nvar]
     return z, float(y @ (x[:n] - x[n : 2 * n]))
 
 
-def max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
+def max_margin(
+    rows: np.ndarray, signs: np.ndarray
+) -> tuple[float, np.ndarray, int]:
     """max t s.t. signs[i] * <theta, rows[i]> >= t, ||theta||_inf <= 1.
 
     theta is free; theta = 0, t = 0 is feasible, and the tableau is built in
     canonical form around that point: every row has its own slack with
     coefficient +1 and a right-hand side of 0 (margin rows) or 1 (box rows).
     Bland pivots start from that all-slack basis on the original cost, with
-    no phase 1. Returns (t*, theta*). Used as the cell-margin feasibility
-    subproblem: a sign pattern carves a full-dimensional cone iff t* > 0.
+    no phase 1. Returns (t*, theta*, pivots). Used as the cell-margin
+    feasibility subproblem: a sign pattern carves a full-dimensional cone iff
+    t* > 0.
     """
     rows = np.asarray(rows, dtype=float)
     signs = np.asarray(signs, dtype=float)
@@ -151,8 +157,8 @@ def max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
     c[2 * k + 1] = 1.0
     T[-1, :nvar] = c
     basis = list(range(2 * k + 2, nvar))
-    status = _run_phase(T, basis, nvar)
+    status, pivots = _run_phase(T, basis, nvar)
     if status != "optimal":  # cannot happen: feasible and bounded
         raise NumericalError(f"margin subproblem returned {status}")
     x = _basic_solution(T, basis, nvar)
-    return -float(c @ x), x[:k] - x[k : 2 * k]
+    return -float(c @ x), x[:k] - x[k : 2 * k], pivots

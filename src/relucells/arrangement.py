@@ -5,12 +5,21 @@ the lifted parameter space R^{d+1}. The full-dimensional regions of this
 arrangement are closed convex cones ("cells"); two inner-layer parameters
 lie in the same cell iff they activate the same datapoints. Repeated
 points, whose lifted rows lie on one ray (model.ray_labels), give one
-hyperplane. Enumeration is by incremental insertion from the empty sign
-pattern. A candidate sign extension is admitted by a margin-maximization
-LP, except on the side of the new hyperplane that holds its parent's
-witness, which that witness already proves. A cell's witness and margin
-are those of the LP that admitted its full pattern; no cell is solved
-twice.
+hyperplane.
+
+Data in general position is enumerated from the arrangement's vertex rays.
+With n >= d+1 generic rows every cell is a pointed cone, and each of its
+extreme rays is the null ray of d rows, so the sign patterns next to those
+rays cover every cell (with fewer rows, every pattern is a cell). Each
+distinct candidate takes one margin-maximization LP on all rows. No central
+arrangement of n hyperplanes in R^{d+1} has more cells than Cover's count
+(expected_cell_count), so candidates that reach it are all the cells.
+Otherwise (non-generic data, or a candidate lost to rounding)
+enumeration is by incremental insertion from the empty sign pattern: a
+candidate sign extension is admitted by a margin LP, except on the side of
+the new hyperplane that holds its parent's witness, which that witness
+already proves. Both paths give a cell the witness and margin of the LP on
+its full pattern, so they agree exactly where both run.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 
@@ -29,6 +38,9 @@ from .model import DIRECTION_MERGE_TOL, Dataset, ray_labels
 FEASIBILITY_EPS = 1e-9
 BOUNDARY_EPS = 1e-9
 MAX_CELLS_GUARD = 10**6
+# subsets per stacked rank test in is_generic: bounds its memory at about
+# RANK_CHUNK * (d+1)^2 floats
+RANK_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -50,6 +62,7 @@ class CellDecomposition:
     lifted: np.ndarray  # (n, d+1) dataset lift the cells were built from
     generic: bool  # dataset in general position (rank test)
     margin_lps: int  # max_margin solves the enumeration made
+    margin_pivots: int  # Bland pivots over those solves
     lookup: dict = field(repr=False)
 
     @property
@@ -69,15 +82,19 @@ def expected_cell_count(n: int, d: int) -> int:
 
 
 def is_generic(dataset: Dataset) -> bool:
-    """True iff every d+1 lifted points are linearly independent."""
+    """True iff every min(n, d+1) lifted points are linearly independent."""
     lifted = dataset.lifted
     n, k = lifted.shape
     size = min(n, k)
-    for idx in combinations(range(n), size):
-        sub = lifted[list(idx)]
-        if np.linalg.matrix_rank(sub, tol=1e-10) < size:
+    subsets = combinations(range(n), size)
+    while True:
+        idx = np.fromiter(
+            chain.from_iterable(islice(subsets, RANK_CHUNK)), dtype=np.intp
+        ).reshape(-1, size)
+        if idx.shape[0] == 0:
+            return True
+        if np.any(np.linalg.matrix_rank(lifted[idx], tol=1e-10) < size):
             return False
-    return True
 
 
 def _dedup_hyperplanes(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,27 +112,59 @@ def _dedup_hyperplanes(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lifted[heads], rep
 
 
-def enumerate_cells(dataset: Dataset) -> CellDecomposition:
-    """Enumerate all full-dimensional cells by incremental insertion."""
-    lifted = dataset.lifted
-    d = dataset.d
-    uniq, rep = _dedup_hyperplanes(lifted)
-    bound = expected_cell_count(uniq.shape[0], d)
-    if bound > MAX_CELLS_GUARD:
-        raise PreconditionError(
-            f"formula bound {bound} exceeds guard {MAX_CELLS_GUARD}"
-        )
+def _orthants(m: int) -> np.ndarray:
+    """All 2^m active patterns of length m (True is the active side)."""
+    return np.array(list(product((True, False), repeat=m)), dtype=bool)
 
-    # grow sign patterns one hyperplane at a time from the empty pattern,
-    # keeping each with a (margin, witness) pair that proves it a cell. A
-    # parent's witness theta with margin t lies strictly on one side of the
-    # new hyperplane, at margin min(t, |v|) for v = <x~_h, theta>: that child
-    # needs no LP, since its LP would reach at least that margin. The last
-    # level solves both children, so each cell keeps the (margin, witness)
-    # of the LP that admitted its full pattern.
-    n_u = uniq.shape[0]
-    partial: dict[tuple, tuple] = {(): (0.0, np.zeros(d + 1))}
-    lps = 0
+
+def _vertex_cells(uniq: np.ndarray) -> tuple[dict, int, int]:
+    """Cells next to the vertex rays of the arrangement of rows uniq.
+
+    For each d-subset S of the rows, r is the null ray of uniq[S]; the
+    patterns next to +-r take the signs of uniq @ r off S and every local
+    orthant on S. With fewer rows than d+1, every pattern is a candidate.
+    Candidates are held as one byte per row until deduplicated, and each
+    distinct one takes one margin LP on all rows. Returns
+    ({signs: (margin, witness)} of the admitted candidates, LPs, pivots).
+    """
+    n_u, k = uniq.shape
+    if n_u < k:
+        active = _orthants(n_u)
+    else:
+        subsets = np.array(list(combinations(range(n_u), k - 1)))
+        rays = np.linalg.svd(uniq[subsets])[2][:, -1]
+        local = _orthants(k - 1)
+        active = np.empty((len(subsets), local.shape[0], n_u), dtype=bool)
+        active[:] = (rays @ uniq.T > 0)[:, None]
+        np.put_along_axis(active, subsets[:, None], local[None], axis=2)
+        active = active.reshape(-1, n_u)
+        active = np.concatenate([active, ~active])
+    found = {}
+    lps = pivots = 0
+    for key in dict.fromkeys(map(bytes, active)):
+        cand = tuple(1 if a else -1 for a in key)
+        t, theta, p = max_margin(uniq, np.array(cand, float))
+        lps += 1
+        pivots += p
+        if t > FEASIBILITY_EPS:
+            found[cand] = (t, theta)
+    return found, lps, pivots
+
+
+def _insertion_cells(uniq: np.ndarray) -> tuple[dict, int, int]:
+    """Cells of the arrangement of rows uniq, by incremental insertion.
+
+    Grows sign patterns one hyperplane at a time from the empty pattern,
+    keeping each with a (margin, witness) pair that proves it a cell. A
+    parent's witness theta with margin t lies strictly on one side of the
+    new hyperplane, at margin min(t, |v|) for v = <x~_h, theta>: that child
+    needs no LP, since its LP would reach at least that margin. The last
+    level solves both children, so each cell keeps the (margin, witness) of
+    the LP that admitted its full pattern. Returns as _vertex_cells.
+    """
+    n_u, k = uniq.shape
+    partial: dict[tuple, tuple] = {(): (0.0, np.zeros(k))}
+    lps = pivots = 0
     for h in range(n_u):
         rows = uniq[: h + 1]
         grown = {}
@@ -127,20 +176,44 @@ def enumerate_cells(dataset: Dataset) -> CellDecomposition:
                 if kept > FEASIBILITY_EPS and s_new * v > 0:
                     grown[cand] = (kept, theta)
                     continue
-                t_new, theta_new = max_margin(rows, np.array(cand, float))
+                t_new, theta_new, p = max_margin(rows, np.array(cand, float))
                 lps += 1
+                pivots += p
                 if t_new > FEASIBILITY_EPS:
                     grown[cand] = (t_new, theta_new)
         partial = grown
+    return partial, lps, pivots
+
+
+def enumerate_cells(dataset: Dataset) -> CellDecomposition:
+    """Enumerate all full-dimensional cells: from the vertex rays on
+    generic data, by incremental insertion otherwise."""
+    lifted = dataset.lifted
+    uniq, rep = _dedup_hyperplanes(lifted)
+    bound = expected_cell_count(uniq.shape[0], dataset.d)
+    if bound > MAX_CELLS_GUARD:
+        raise PreconditionError(
+            f"formula bound {bound} exceeds guard {MAX_CELLS_GUARD}"
+        )
+
+    generic = is_generic(dataset)
+    found, lps, pivots = _vertex_cells(uniq) if generic else ({}, 0, 0)
+    # every admitted candidate is a cell, and no arrangement of these
+    # hyperplanes has more than `bound` cells: short of it, a candidate was
+    # missed, so insertion decides
+    if len(found) != bound:
+        found, more_lps, more_pivots = _insertion_cells(uniq)
+        lps += more_lps
+        pivots += more_pivots
 
     cells = [
         Cell(tuple(int(signs[r]) for r in rep), theta, float(t))
-        for signs, (t, theta) in partial.items()
+        for signs, (t, theta) in found.items()
     ]
     cells.sort(key=lambda c: c.signs)
     lookup = {c.signs: i for i, c in enumerate(cells)}
     return CellDecomposition(
-        tuple(cells), lifted, is_generic(dataset), lps, lookup
+        tuple(cells), lifted, generic, lps, pivots, lookup
     )
 
 

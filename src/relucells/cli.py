@@ -126,6 +126,7 @@ def cmd_cells(args) -> int:
         "formula_match": dec.size == expected_cell_count(ds.n, ds.d),
         "generic": dec.generic,
         "margin_lps": dec.margin_lps,
+        "margin_pivots": dec.margin_pivots,
         "seconds": round(time.perf_counter() - t0, 3),
     }
     out = _outdir(args)

@@ -407,12 +407,12 @@ def simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
     T[:m, -1] = b
     basis = list(range(n, n + m))
     _phase1_costs(T, basis, n)
-    status = _run_phase(T, basis, n + m)
+    status, _ = _run_phase(T, basis, n + m)
     if status == "unbounded":
         # phase 1 is bounded below by 0, so its cost row has drifted from
         # the tableau: rebuild it from the current basis and resume
         _phase1_costs(T, basis, n)
-        status = _run_phase(T, basis, n + m)
+        status, _ = _run_phase(T, basis, n + m)
         if status == "unbounded":
             raise NumericalError("simplex phase 1 reported an unbounded ray")
     if status != "optimal" or T[-1, -1] < -1e-7:
@@ -434,7 +434,7 @@ def simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
         if basis[i] < n:
             T[-1] -= T[-1, basis[i]] * T[i]
     T[:, n : n + m] = 0.0  # freeze artificial columns
-    status = _run_phase(T, basis, n)
+    status, _ = _run_phase(T, basis, n)
     if status == "unbounded":
         return SimplexResult("unbounded", np.zeros(n), -np.inf, basis)
     return _optimum(T, basis, c)
@@ -471,6 +471,18 @@ def margin_lp_two_phase(rows, signs):
     c = np.zeros(nvar)
     c[2 * k], c[2 * k + 1] = -1.0, 1.0
     return c, A, b
+
+
+def is_generic_reference(lifted) -> bool:
+    """One rank test per min(n, d+1)-subset of the lifted rows."""
+    from itertools import combinations
+
+    n, k = lifted.shape
+    size = min(n, k)
+    return all(
+        np.linalg.matrix_rank(lifted[list(idx)], tol=1e-10) == size
+        for idx in combinations(range(n), size)
+    )
 
 
 def enumerate_patterns_reference(lifted, eps):

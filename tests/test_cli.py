@@ -20,8 +20,9 @@ def test_cells_command(tmp_path, ds_csv, capsys):
     summary = json.loads((out / "cells_summary.json").read_text())
     assert summary["cells"] == 6
     assert summary["formula_match"] is True
-    # 2 LPs for the first point, 2 for the second, 2 per cell of two points
-    assert summary["margin_lps"] == 12
+    # generic data: one LP per cell
+    assert summary["margin_lps"] == 6
+    assert summary["margin_pivots"] > 0
     payload = json.loads((out / "cells.json").read_text())
     assert len(payload["cells"]) == 6
     assert "cells: 6" in capsys.readouterr().out

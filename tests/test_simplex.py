@@ -114,7 +114,7 @@ def test_lp_min_l1_tolerates_near_duplicate_columns():
 
 
 def test_max_margin_single_row():
-    t, theta = max_margin(np.array([[1.0, 1.0]]), np.array([1.0]))
+    t, theta, _ = max_margin(np.array([[1.0, 1.0]]), np.array([1.0]))
     assert t == pytest.approx(2.0)
     assert theta == pytest.approx([1.0, 1.0])
 
@@ -122,13 +122,13 @@ def test_max_margin_single_row():
 def test_max_margin_infeasible_signs():
     # opposite signs on the same hyperplane leave only t = 0
     rows = np.array([[1.0, 0.0], [1.0, 0.0]])
-    t, _ = max_margin(rows, np.array([1.0, -1.0]))
+    t, _, _ = max_margin(rows, np.array([1.0, -1.0]))
     assert t == pytest.approx(0.0, abs=1e-9)
 
 
 def test_max_margin_box_bound():
     # the unit infinity-norm box caps the margin of one hyperplane at 1
-    t, theta = max_margin(np.array([[1.0, 0.0]]), np.array([1.0]))
+    t, theta, _ = max_margin(np.array([[1.0, 0.0]]), np.array([1.0]))
     assert t == pytest.approx(1.0)
     assert np.max(np.abs(theta)) <= 1.0 + 1e-12
 
@@ -163,7 +163,7 @@ def test_max_margin_matches_two_phase_oracle(d):
         m = int(rng.integers(1, 4 * (d + 1)))
         rows = np.hstack([rng.normal(size=(m, d)), np.ones((m, 1))])
         signs = rng.choice([-1.0, 1.0], size=m)
-        t, theta = max_margin(rows, signs)
+        t, theta, _ = max_margin(rows, signs)
         ref = simplex(*margin_lp_two_phase(rows, signs))
         assert ref.status == "optimal"
         assert t == pytest.approx(-ref.objective, abs=1e-12)
