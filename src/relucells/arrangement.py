@@ -7,19 +7,18 @@ lie in the same cell iff they activate the same datapoints. Repeated
 points, whose lifted rows lie on one ray (model.ray_labels), give one
 hyperplane.
 
-Data in general position is enumerated from the arrangement's vertex rays.
-With n >= d+1 generic rows every cell is a pointed cone, and each of its
-extreme rays is the null ray of d rows, so the sign patterns next to those
-rays cover every cell (with fewer rows, every pattern is a cell). Each
-distinct candidate takes one margin-maximization LP on all rows. No central
-arrangement of n hyperplanes in R^{d+1} has more cells than Cover's count
-(expected_cell_count), so candidates that reach it are all the cells.
-Otherwise (non-generic data, or a candidate lost to rounding)
-enumeration is by incremental insertion from the empty sign pattern: a
-candidate sign extension is admitted by a margin LP, except on the side of
-the new hyperplane that holds its parent's witness, which that witness
-already proves. Both paths give a cell the witness and margin of the LP on
-its full pattern, so they agree exactly where both run.
+Cells are enumerated from the arrangement's vertex rays, for any data. In
+a basis of the lifted rows' span every cell is a pointed cone, and each of
+its extreme rays is the null ray of some rows of rank one less than the
+span's; the cells next to such a ray are fixed off the hyperplanes that
+hold it and, on those, are the cells of their own arrangement (every
+orthant for independent rows, by recursion otherwise). Each distinct
+candidate sign pattern takes one margin-maximization LP on all rows, and
+is admitted when the LP's margin t and the margin its witness attains on
+the pattern both exceed FEASIBILITY_EPS; the cell keeps that t and
+witness. `generic` reports whether the cells reach Cover's count
+(expected_cell_count) for the n datapoints, which happens exactly for data
+in general position.
 """
 
 from __future__ import annotations
@@ -38,6 +37,10 @@ from .model import DIRECTION_MERGE_TOL, Dataset, ray_labels
 FEASIBILITY_EPS = 1e-9
 BOUNDARY_EPS = 1e-9
 MAX_CELLS_GUARD = 10**6
+# relative roundoff level: a row's hyperplane holds a ray when
+# |<row, ray>| <= RAY_TOL * ||row||, and singular values below RAY_TOL times
+# the largest count as zero
+RAY_TOL = 1e-13
 # subsets per stacked rank test in is_generic: bounds its memory at about
 # RANK_CHUNK * (d+1)^2 floats
 RANK_CHUNK = 4096
@@ -49,7 +52,7 @@ class Cell:
 
     signs: tuple  # length n over {+1, -1}; +1 means datapoint is active
     witness: np.ndarray  # strictly interior point, ||witness||_inf <= 1
-    margin: float  # min_i signs[i] * <witness, x~_i> > 0
+    margin: float  # the admitting LP's t > FEASIBILITY_EPS
 
     @property
     def active_set(self) -> tuple:
@@ -60,7 +63,7 @@ class Cell:
 class CellDecomposition:
     cells: tuple
     lifted: np.ndarray  # (n, d+1) dataset lift the cells were built from
-    generic: bool  # dataset in general position (rank test)
+    generic: bool  # cells reach Cover's count: points in general position
     margin_lps: int  # max_margin solves the enumeration made
     margin_pivots: int  # Bland pivots over those solves
     lookup: dict = field(repr=False)
@@ -117,77 +120,50 @@ def _orthants(m: int) -> np.ndarray:
     return np.array(list(product((True, False), repeat=m)), dtype=bool)
 
 
-def _vertex_cells(uniq: np.ndarray) -> tuple[dict, int, int]:
-    """Cells next to the vertex rays of the arrangement of rows uniq.
+def _candidates(rows: np.ndarray) -> np.ndarray:
+    """Active patterns (True is the active side) of the cells of the central
+    arrangement of rows, some more than once.
 
-    For each d-subset S of the rows, r is the null ray of uniq[S]; the
-    patterns next to +-r take the signs of uniq @ r off S and every local
-    orthant on S. With fewer rows than d+1, every pattern is a candidate.
-    Candidates are held as one byte per row until deduplicated, and each
-    distinct one takes one margin LP on all rows. Returns
-    ({signs: (margin, witness)} of the admitted candidates, LPs, pivots).
+    In a basis of the rows' span (rank r; the lineality space dropped) every
+    cell is a pointed cone, so it has an extreme ray: the null ray of some
+    r-1 rows of rank r-1. The cells next to a ray +-rho take the signs of
+    rows @ rho off the rows T whose hyperplanes hold rho, and on T the
+    cells of T's own arrangement: every local orthant when T is those r-1
+    rows, by recursion otherwise. Independent rows give every orthant.
     """
-    n_u, k = uniq.shape
-    if n_u < k:
-        active = _orthants(n_u)
-    else:
-        subsets = np.array(list(combinations(range(n_u), k - 1)))
-        rays = np.linalg.svd(uniq[subsets])[2][:, -1]
-        local = _orthants(k - 1)
-        active = np.empty((len(subsets), local.shape[0], n_u), dtype=bool)
-        active[:] = (rays @ uniq.T > 0)[:, None]
-        np.put_along_axis(active, subsets[:, None], local[None], axis=2)
-        active = active.reshape(-1, n_u)
-        active = np.concatenate([active, ~active])
-    found = {}
-    lps = pivots = 0
-    for key in dict.fromkeys(map(bytes, active)):
-        cand = tuple(1 if a else -1 for a in key)
-        t, theta, p = max_margin(uniq, np.array(cand, float))
-        lps += 1
-        pivots += p
-        if t > FEASIBILITY_EPS:
-            found[cand] = (t, theta)
-    return found, lps, pivots
-
-
-def _insertion_cells(uniq: np.ndarray) -> tuple[dict, int, int]:
-    """Cells of the arrangement of rows uniq, by incremental insertion.
-
-    Grows sign patterns one hyperplane at a time from the empty pattern,
-    keeping each with a (margin, witness) pair that proves it a cell. A
-    parent's witness theta with margin t lies strictly on one side of the
-    new hyperplane, at margin min(t, |v|) for v = <x~_h, theta>: that child
-    needs no LP, since its LP would reach at least that margin. The last
-    level solves both children, so each cell keeps the (margin, witness) of
-    the LP that admitted its full pattern. Returns as _vertex_cells.
-    """
-    n_u, k = uniq.shape
-    partial: dict[tuple, tuple] = {(): (0.0, np.zeros(k))}
-    lps = pivots = 0
-    for h in range(n_u):
-        rows = uniq[: h + 1]
-        grown = {}
-        for signs, (t, theta) in partial.items():
-            v = float(uniq[h] @ theta)
-            kept = min(t, abs(v)) if h < n_u - 1 else 0.0
-            for s_new in (1, -1):
-                cand = signs + (s_new,)
-                if kept > FEASIBILITY_EPS and s_new * v > 0:
-                    grown[cand] = (kept, theta)
-                    continue
-                t_new, theta_new, p = max_margin(rows, np.array(cand, float))
-                lps += 1
-                pivots += p
-                if t_new > FEASIBILITY_EPS:
-                    grown[cand] = (t_new, theta_new)
-        partial = grown
-    return partial, lps, pivots
+    m, k = rows.shape
+    sv, basis = np.linalg.svd(rows, full_matrices=False)[1:]
+    r = int(np.sum(sv > RAY_TOL * sv[0]))
+    if r == m:
+        return _orthants(m)
+    if r < k:
+        rows = rows @ basis[:r].T
+    subsets = np.array(list(combinations(range(m), r - 1)))
+    _, sub_sv, vt = np.linalg.svd(rows[subsets])
+    ranked = np.all(sub_sv > RAY_TOL * sub_sv[:, :1], axis=1)
+    subsets, vals = subsets[ranked], vt[ranked, -1] @ rows.T
+    held = np.abs(vals) <= RAY_TOL * np.linalg.norm(rows, axis=1)
+    np.put_along_axis(held, subsets, True, axis=1)
+    simple = held.sum(axis=1) == r - 1
+    local = _orthants(r - 1)
+    active = np.empty((simple.sum(), local.shape[0], m), dtype=bool)
+    active[:] = (vals[simple] > 0)[:, None]
+    np.put_along_axis(active, subsets[simple][:, None], local[None], axis=2)
+    parts = [active.reshape(-1, m)]
+    # one recursion per distinct set of hyperplanes through a ray
+    degenerate = np.flatnonzero(~simple)
+    for i in dict(zip(map(bytes, held[degenerate]), degenerate)).values():
+        local = _candidates(rows[held[i]])
+        part = np.repeat((vals[i] > 0)[None], local.shape[0], axis=0)
+        part[:, held[i]] = local
+        parts.append(part)
+    active = np.concatenate(parts)
+    return np.concatenate([active, ~active])
 
 
 def enumerate_cells(dataset: Dataset) -> CellDecomposition:
-    """Enumerate all full-dimensional cells: from the vertex rays on
-    generic data, by incremental insertion otherwise."""
+    """Enumerate all full-dimensional cells: one margin LP per distinct
+    candidate next to a vertex ray."""
     lifted = dataset.lifted
     uniq, rep = _dedup_hyperplanes(lifted)
     bound = expected_cell_count(uniq.shape[0], dataset.d)
@@ -196,22 +172,28 @@ def enumerate_cells(dataset: Dataset) -> CellDecomposition:
             f"formula bound {bound} exceeds guard {MAX_CELLS_GUARD}"
         )
 
-    generic = is_generic(dataset)
-    found, lps, pivots = _vertex_cells(uniq) if generic else ({}, 0, 0)
-    # every admitted candidate is a cell, and no arrangement of these
-    # hyperplanes has more than `bound` cells: short of it, a candidate was
-    # missed, so insertion decides
-    if len(found) != bound:
-        found, more_lps, more_pivots = _insertion_cells(uniq)
-        lps += more_lps
-        pivots += more_pivots
-
+    found = []
+    lps = pivots = 0
+    for key in dict.fromkeys(map(bytes, _candidates(uniq))):
+        cand = tuple(1 if a else -1 for a in key)
+        t, theta, p = max_margin(uniq, np.array(cand, float))
+        lps += 1
+        pivots += p
+        if t > FEASIBILITY_EPS:
+            found.append((cand, t, theta))
+    # on nearly dependent rows an LP can report t > FEASIBILITY_EPS with a
+    # witness that breaks its pattern: admit the cells whose witness holds
+    signs = np.array([cand for cand, _, _ in found])
+    thetas = np.array([theta for _, _, theta in found])
+    holds = np.min(signs * (thetas @ uniq.T), axis=1) > FEASIBILITY_EPS
     cells = [
-        Cell(tuple(int(signs[r]) for r in rep), theta, float(t))
-        for signs, (t, theta) in found.items()
+        Cell(tuple(int(cand[r]) for r in rep), theta, float(t))
+        for (cand, t, theta), ok in zip(found, holds)
+        if ok
     ]
     cells.sort(key=lambda c: c.signs)
     lookup = {c.signs: i for i, c in enumerate(cells)}
+    generic = len(cells) == expected_cell_count(dataset.n, dataset.d)
     return CellDecomposition(
         tuple(cells), lifted, generic, lps, pivots, lookup
     )

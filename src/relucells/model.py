@@ -19,10 +19,6 @@ import numpy as np
 
 from .errors import DatasetFormatError, DimensionMismatchError, ZeroDirectionError
 
-# Subgradient of relu at the hinge. Zero keeps exactly-inactive neurons
-# frozen under gradient steps, matching the closed-cell convention.
-RELU_HINGE_SUBGRADIENT = 0.0
-
 # Two sphere directions are merged when their angular distance is below this.
 DIRECTION_MERGE_TOL = 1e-10
 

@@ -6,14 +6,10 @@ import pytest
 
 from conftest import random_generic_dataset
 from oracles import enumerate_patterns_reference, is_generic_reference
-from relucells import arrangement
 from relucells._simplex import max_margin
 from relucells.arrangement import (
     FEASIBILITY_EPS,
     RANK_CHUNK,
-    _dedup_hyperplanes,
-    _insertion_cells,
-    _vertex_cells,
     cell_sum_check,
     dataset_fingerprint,
     decomposition_to_json,
@@ -46,15 +42,13 @@ def test_enumerate_matches_formula():
 
 
 def test_enumerate_survives_drifted_phase1_costs():
-    # two-phase margin LPs of the insertion path on this dataset drift far
-    # enough for phase 1 to report an unbounded ray. Enumeration starts its
-    # LPs from the slack basis and runs no phase 1;
+    # two-phase margin LPs on prefixes of this dataset drift far enough for
+    # phase 1 to report an unbounded ray. Enumeration starts its LPs from the
+    # slack basis and runs no phase 1;
     # test_simplex_rebuilds_drifted_phase1_costs solves those two LPs by the
     # two-phase reference simplex in oracles
     rng = np.random.default_rng([32, 9])
     ds = Dataset(rng.normal(size=(16, 1)), rng.normal(size=16))
-    found, _, _ = _insertion_cells(ds.lifted)
-    assert len(found) == expected_cell_count(16, 1)
     assert enumerate_cells(ds).size == expected_cell_count(16, 1)
 
 
@@ -66,8 +60,8 @@ def test_witness_interior_and_margin(dec3, ds3):
 
 
 GENERIC_CASES = ["d1", "d2", "d3", "d3 n2", "one point"]
-# non-generic data takes the insertion path
-CASES = GENERIC_CASES + ["duplicate", "collinear d2", "coplanar d3"]
+CASES = GENERIC_CASES + ["duplicate", "collinear d2", "coplanar d3",
+                         "all collinear d2", "grid 3x3"]
 
 
 def _case_dataset(case):
@@ -94,7 +88,18 @@ def _case_dataset(case):
                                                  [0.4, 0.1, -1.2],
                                                  [-0.5, 0.6, 0.9]]),
                                        np.zeros(6)),
+        # the lifted rows span a plane of R^3: the cells share a lineality
+        # space
+        "all collinear d2": lambda: Dataset(
+            np.array([[x, 0.5 - x] for x in (-1.0, -0.3, 0.2, 0.5, 0.9, 1.7)]),
+            np.zeros(6)),
+        "grid 3x3": lambda: Dataset(_grid(3), np.zeros(9)),
     }[case]()
+
+
+def _grid(k):
+    """The k x k integer lattice, rows (x, y) in y-major order."""
+    return np.array([[x, y] for y in range(k) for x in range(k)], dtype=float)
 
 
 def _enumerate_quietly(ds):
@@ -119,70 +124,66 @@ def test_witness_is_the_admitting_lp(case):
         assert np.array_equal(cell.witness, theta)
         pivots += p
     assert dec.generic == (case in GENERIC_CASES)
-    if dec.generic:  # one LP per cell, so the cells' LPs are all the pivots
-        assert dec.margin_lps == dec.size
-        assert dec.margin_pivots == pivots
+    # one LP per cell, so the cells' LPs are all the pivots
+    assert dec.margin_lps == dec.size
+    assert dec.margin_pivots == pivots
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_witness_side_skip_keeps_every_pattern(case):
-    # skipping the LP on the parent witness's side, or taking the patterns
-    # next to the vertex rays, admits the same cells, in the same order, as
-    # solving both children's LPs at every level
+    # the patterns next to the vertex rays admit the same cells, in the same
+    # order, as insertion that solves both children's LPs at every level
     ds = _case_dataset(case)
     dec = _enumerate_quietly(ds)
     assert [c.signs for c in dec.cells] == enumerate_patterns_reference(
         ds.lifted, FEASIBILITY_EPS)
 
 
-@pytest.mark.parametrize("case", GENERIC_CASES)
-def test_vertex_and_insertion_paths_agree(case):
-    # both paths give each cell the margin LP of its full pattern on the
-    # same rows, so their cells, margins and witnesses are equal
-    uniq, _ = _dedup_hyperplanes(_case_dataset(case).lifted)
-    vertex, _, _ = _vertex_cells(uniq)
-    insertion, _, _ = _insertion_cells(uniq)
-    assert vertex.keys() == insertion.keys()
-    for signs, (t, theta) in vertex.items():
-        assert t == insertion[signs][0]
-        assert np.array_equal(theta, insertion[signs][1])
+def test_integer_lattices_match_reference():
+    # small lattices hold many points on one hyperplane and many hyperplanes
+    # through one ray, and repeat points
+    rng = np.random.default_rng(5)
+    for d, side in ((2, 3), (2, 4), (3, 2), (3, 3)):
+        for n in (4, 5, 6, 7, 8):
+            ds = Dataset(rng.integers(0, side, size=(n, d)).astype(float),
+                         np.zeros(n))
+            dec = _enumerate_quietly(ds)
+            assert [c.signs for c in dec.cells] == \
+                enumerate_patterns_reference(ds.lifted, FEASIBILITY_EPS)
+            assert dec.margin_lps == dec.size
 
 
-def test_missed_vertex_cell_falls_back_to_insertion(monkeypatch):
-    # a candidate set short of the cell count is not trusted: insertion
-    # enumerates again, and the LPs of both paths are counted
-    ds = _case_dataset("d2")
-    full = enumerate_cells(ds)
-
-    def short(uniq):
-        found, lps, pivots = _vertex_cells(uniq)
-        found.pop(next(iter(found)))
-        return found, lps, pivots
-
-    monkeypatch.setattr(arrangement, "_vertex_cells", short)
+def test_every_witness_holds_its_pattern():
+    # on a lattice jittered by 1e-8, some margin LPs report t above
+    # FEASIBILITY_EPS with a witness that breaks its pattern by up to 3e-6;
+    # those candidates are not cells
+    points = _grid(3) + 1e-8 * np.random.default_rng(0).normal(size=(9, 2))
+    ds = Dataset(points, np.zeros(9))
     dec = enumerate_cells(ds)
-    assert [c.signs for c in dec.cells] == [c.signs for c in full.cells]
-    assert all(np.array_equal(a.witness, b.witness)
-               for a, b in zip(dec.cells, full.cells))
-    _, insertion_lps, insertion_pivots = _insertion_cells(ds.lifted)
-    assert dec.margin_lps == full.margin_lps + insertion_lps
-    assert dec.margin_pivots == full.margin_pivots + insertion_pivots
+    for cell in dec.cells:
+        held = np.min(np.array(cell.signs) * (ds.lifted @ cell.witness))
+        assert held > FEASIBILITY_EPS
+    assert (dec.size, dec.margin_lps) == (60, 74)
+
+
+def test_generic_means_cover_count():
+    # the first two lifted rows are 5e-11 rad apart and merge as one
+    # hyperplane, so the four points give 6 cells, not Cover's 8
+    ds = Dataset(np.array([[1000.0], [1000.00005], [0.3], [-2.0]]),
+                 np.zeros(4))
+    with pytest.warns(UserWarning, match="1 duplicate"):
+        dec = enumerate_cells(ds)
+    assert dec.size == 6
+    assert not dec.generic
 
 
 # (1, 16), (2, 8) and (3, 8) are the sizes of the benchmark's `cells` inputs
-@pytest.mark.parametrize("d,n,insertion_lps", [
-    (1, 16, 272), (2, 8, 172), (3, 8, 282), (1, 2, 6), (2, 5, 44)])
-def test_margin_lp_count(d, n, insertion_lps):
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 8), (1, 2), (2, 5)])
+def test_margin_lp_count(d, n):
     # generic data takes one LP per cell, the candidates next to the vertex
-    # rays. Insertion takes two LPs for the first hyperplane, one per parent
-    # cell at each middle level (its witness proves the child on its side),
-    # and two per parent at the last level
-    assert insertion_lps == 2 + sum(
-        expected_cell_count(h, d) for h in range(1, n - 1)
-    ) + 2 * expected_cell_count(n - 1, d)
+    # rays
     ds = random_generic_dataset(np.random.default_rng([d, n]), n, d)
     assert enumerate_cells(ds).margin_lps == expected_cell_count(n, d)
-    assert _insertion_cells(ds.lifted)[1] == insertion_lps
 
 
 def test_one_point_takes_two_lps():
