@@ -13,10 +13,10 @@ its extreme rays is the null ray of some rows of rank one less than the
 span's; the cells next to such a ray are fixed off the hyperplanes that
 hold it and, on those, are the cells of their own arrangement (every
 orthant for independent rows, by recursion otherwise). Each distinct
-candidate sign pattern takes one margin-maximization LP on all rows, and
-is admitted when the LP's margin t and the margin its witness attains on
-the pattern both exceed FEASIBILITY_EPS; the cell keeps that t and
-witness. `generic` reports whether the cells reach Cover's count
+candidate sign pattern takes one margin-maximization LP on all rows (the
+LPs are solved MARGIN_BATCH at a time, in one stack), and is admitted when
+the LP's margin t and the margin its witness attains on the pattern both
+exceed FEASIBILITY_EPS; the cell keeps that t and witness. `generic` reports whether the cells reach Cover's count
 (expected_cell_count) for the n datapoints, which happens exactly for data
 in general position.
 """
@@ -44,6 +44,9 @@ RAY_TOL = 1e-13
 # subsets per stacked rank test in is_generic: bounds its memory at about
 # RANK_CHUNK * (d+1)^2 floats
 RANK_CHUNK = 4096
+# margin LPs per max_margin call: bounds its stack of tableaux at about
+# MARGIN_BATCH * (m + 2d + 3) * (m + 4d + 7) floats for m unique rows
+MARGIN_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -172,30 +175,26 @@ def enumerate_cells(dataset: Dataset) -> CellDecomposition:
             f"formula bound {bound} exceeds guard {MAX_CELLS_GUARD}"
         )
 
-    found = []
-    lps = pivots = 0
-    for key in dict.fromkeys(map(bytes, _candidates(uniq))):
-        cand = tuple(1 if a else -1 for a in key)
-        t, theta, p = max_margin(uniq, np.array(cand, float))
-        lps += 1
-        pivots += p
-        if t > FEASIBILITY_EPS:
-            found.append((cand, t, theta))
+    active = _candidates(uniq)
+    keys = dict.fromkeys(map(bytes, active))
+    active = np.frombuffer(b"".join(keys), dtype=bool).reshape(len(keys), -1)
+    cands = np.where(active, 1, -1)
+    batches = [max_margin(uniq, cands[i : i + MARGIN_BATCH])
+               for i in range(0, len(cands), MARGIN_BATCH)]
+    t, thetas, pivots = map(np.concatenate, zip(*batches))
+    found = np.flatnonzero(t > FEASIBILITY_EPS)
     # on nearly dependent rows an LP can report t > FEASIBILITY_EPS with a
     # witness that breaks its pattern: admit the cells whose witness holds
-    signs = np.array([cand for cand, _, _ in found])
-    thetas = np.array([theta for _, _, theta in found])
-    holds = np.min(signs * (thetas @ uniq.T), axis=1) > FEASIBILITY_EPS
+    holds = np.min(cands[found] * (thetas[found] @ uniq.T), axis=1)
     cells = [
-        Cell(tuple(int(cand[r]) for r in rep), theta, float(t))
-        for (cand, t, theta), ok in zip(found, holds)
-        if ok
+        Cell(tuple(cands[i, rep].tolist()), thetas[i], float(t[i]))
+        for i in found[holds > FEASIBILITY_EPS]
     ]
     cells.sort(key=lambda c: c.signs)
     lookup = {c.signs: i for i, c in enumerate(cells)}
     generic = len(cells) == expected_cell_count(dataset.n, dataset.d)
     return CellDecomposition(
-        tuple(cells), lifted, generic, lps, pivots, lookup
+        tuple(cells), lifted, generic, len(cands), int(pivots.sum()), lookup
     )
 
 

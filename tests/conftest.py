@@ -6,6 +6,11 @@ from relucells.model import Dataset
 from relucells.verify import random_generic_dataset  # noqa: F401  (tests import it from here)
 
 
+def same_bits(a, b) -> bool:
+    """Equal values and equal sign bits, so -0.0 differs from 0.0."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 @pytest.fixture
 def ds3():
     """Fixed generic d=1 dataset with three points."""

@@ -6,8 +6,10 @@ objective oracles are only valid for d = 1 (directions live on the circle);
 the weak-duality bound over a sphere grid covers d = 2. The reference loops
 at the end keep the plain per-step and per-pair forms, and the slower
 iterations, of code the package runs vectorised, in closed form or by a
-faster method, for equality checks, and the two-phase simplex is the
-reference for the package's one-phase LPs.
+faster method, for equality checks; among them the scalar Bland pivot loop,
+which solves one tableau at a time, for the package's lockstep loop over a
+stack of tableaux. The two-phase simplex is the reference for the
+package's one-phase LPs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from relucells._simplex import PIVOT_EPS, _pivot, _run_phase
+from relucells._simplex import MAX_PIVOTS, PIVOT_EPS
 from relucells.errors import NumericalError
 
 
@@ -359,6 +361,65 @@ def gauge_prox_bisection_reference(Q, kappa, W, t):
     return np.einsum("bkj,bj->bk", U, xi0 * factor)
 
 
+def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    # rows with a zero in the pivot column are left exactly as they are
+    rows = np.flatnonzero(np.abs(T[:, col]) > 0.0)
+    rows = rows[rows != row]
+    T[rows] -= T[rows, col][:, None] * T[row]
+    basis[row] = col
+
+
+def bland_reference(
+    T: np.ndarray, basis: list[int], ncols: int
+) -> tuple[str, int]:
+    """Iterate Bland pivots on one tableau T (objective in last row) in
+    place, entering over its first ncols columns, one row at a time in the
+    ratio test.
+
+    Returns the final status and the number of pivots made.
+    """
+    for pivots in range(MAX_PIVOTS):
+        obj = T[-1, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if obj[j] < -PIVOT_EPS:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal", pivots
+        # ratio test, Bland tie break on basis index
+        best_ratio = np.inf
+        leaving = -1
+        for i in range(T.shape[0] - 1):
+            a = T[i, entering]
+            if a > PIVOT_EPS:
+                ratio = T[i, -1] / a
+                if ratio < best_ratio - PIVOT_EPS or (
+                    abs(ratio - best_ratio) <= PIVOT_EPS
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            return "unbounded", pivots
+        _pivot(T, basis, leaving, entering)
+    raise RuntimeError("simplex exceeded pivot budget")
+
+
+def bland_stack_reference(T: np.ndarray, basis: np.ndarray):
+    """`_simplex._bland`'s contract, each tableau of the stack solved on its
+    own by bland_reference: returns (pivots, unbounded) per LP."""
+    pivots = np.zeros(T.shape[0], dtype=np.int64)
+    unbounded = np.zeros(T.shape[0], dtype=bool)
+    for b in range(T.shape[0]):
+        rows = basis[b].tolist()
+        status, pivots[b] = bland_reference(T[b], rows, T.shape[2] - 1)
+        basis[b] = rows
+        unbounded[b] = status == "unbounded"
+    return pivots, unbounded
+
+
 @dataclass
 class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -407,12 +468,12 @@ def simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
     T[:m, -1] = b
     basis = list(range(n, n + m))
     _phase1_costs(T, basis, n)
-    status, _ = _run_phase(T, basis, n + m)
+    status, _ = bland_reference(T, basis, n + m)
     if status == "unbounded":
         # phase 1 is bounded below by 0, so its cost row has drifted from
         # the tableau: rebuild it from the current basis and resume
         _phase1_costs(T, basis, n)
-        status, _ = _run_phase(T, basis, n + m)
+        status, _ = bland_reference(T, basis, n + m)
         if status == "unbounded":
             raise NumericalError("simplex phase 1 reported an unbounded ray")
     if status != "optimal" or T[-1, -1] < -1e-7:
@@ -434,7 +495,7 @@ def simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
         if basis[i] < n:
             T[-1] -= T[-1, basis[i]] * T[i]
     T[:, n : n + m] = 0.0  # freeze artificial columns
-    status, _ = _run_phase(T, basis, n)
+    status, _ = bland_reference(T, basis, n)
     if status == "unbounded":
         return SimplexResult("unbounded", np.zeros(n), -np.inf, basis)
     return _optimum(T, basis, c)
@@ -509,8 +570,9 @@ def enumerate_patterns_reference(lifted, eps):
     for h in range(uniq.shape[0]):
         grown = [signs + (s,) for signs in partial for s in (1, -1)]
         partial = [
-            cand for cand in grown
-            if max_margin(uniq[: h + 1], np.array(cand, dtype=float))[0] > eps
+            cand for cand, t in zip(
+                grown, max_margin(uniq[: h + 1], np.array(grown, dtype=float))[0])
+            if t > eps
         ]
     return sorted(tuple(p[r] for r in rep) for p in partial)
 

@@ -1,11 +1,16 @@
+import importlib.util
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_generic_dataset
-from oracles import enumerate_patterns_reference, is_generic_reference
+from conftest import random_generic_dataset, same_bits
+from oracles import (
+    bland_stack_reference, enumerate_patterns_reference, is_generic_reference,
+)
+from relucells import _simplex, arrangement
 from relucells._simplex import max_margin
 from relucells.arrangement import (
     FEASIBILITY_EPS,
@@ -18,7 +23,9 @@ from relucells.arrangement import (
     is_generic,
     locate_cell,
 )
-from relucells.errors import PreconditionError, ZeroDirectionError
+from relucells.errors import (
+    NumericalError, PreconditionError, ZeroDirectionError,
+)
 from relucells.model import Dataset
 
 
@@ -116,17 +123,16 @@ def test_witness_is_the_admitting_lp(case):
     dec = _enumerate_quietly(ds)
     _, first = np.unique(ds.lifted, axis=0, return_index=True)
     keep = np.sort(first)
-    pivots = 0
-    for cell in dec.cells:
-        t, theta, p = max_margin(ds.lifted[keep],
-                                 np.array(cell.signs, dtype=float)[keep])
-        assert cell.margin == float(t)
-        assert np.array_equal(cell.witness, theta)
-        pivots += p
+    # one stack, in the cells' order: an LP's pivots do not depend on the
+    # other LPs of its batch
+    signs = np.array([cell.signs for cell in dec.cells], dtype=float)
+    t, theta, pivots = max_margin(ds.lifted[keep], signs[:, keep])
+    assert [cell.margin for cell in dec.cells] == t.tolist()
+    assert np.array_equal([cell.witness for cell in dec.cells], theta)
     assert dec.generic == (case in GENERIC_CASES)
     # one LP per cell, so the cells' LPs are all the pivots
     assert dec.margin_lps == dec.size
-    assert dec.margin_pivots == pivots
+    assert dec.margin_pivots == pivots.sum()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -139,31 +145,127 @@ def test_witness_side_skip_keeps_every_pattern(case):
         ds.lifted, FEASIBILITY_EPS)
 
 
+def _lattices():
+    """20 small random subsets of integer lattices at d = 2 and 3."""
+    rng = np.random.default_rng(5)
+    return [Dataset(rng.integers(0, side, size=(n, d)).astype(float),
+                    np.zeros(n))
+            for d, side in ((2, 3), (2, 4), (3, 2), (3, 3))
+            for n in (4, 5, 6, 7, 8)]
+
+
+def _jittered_grid(seed):
+    """The 3 x 3 lattice jittered by 1e-8."""
+    points = _grid(3) + 1e-8 * np.random.default_rng(seed).normal(size=(9, 2))
+    return Dataset(points, np.zeros(9))
+
+
+def _bench_cells_inputs():
+    """The inputs of the benchmark's `cells` workload (CELLS_MIX and
+    CELLS_MIN_SV in bench/workloads.py), drawn by bench/checks.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return [Dataset(*checks.generic_dataset(np.random.default_rng(10 * n + d),
+                                            n, d, 0.05))
+            for d, n in ((1, 16), (2, 8), (3, 8))]
+
+
 def test_integer_lattices_match_reference():
     # small lattices hold many points on one hyperplane and many hyperplanes
     # through one ray, and repeat points
-    rng = np.random.default_rng(5)
-    for d, side in ((2, 3), (2, 4), (3, 2), (3, 3)):
-        for n in (4, 5, 6, 7, 8):
-            ds = Dataset(rng.integers(0, side, size=(n, d)).astype(float),
-                         np.zeros(n))
-            dec = _enumerate_quietly(ds)
-            assert [c.signs for c in dec.cells] == \
-                enumerate_patterns_reference(ds.lifted, FEASIBILITY_EPS)
-            assert dec.margin_lps == dec.size
+    for ds in _lattices():
+        dec = _enumerate_quietly(ds)
+        assert [c.signs for c in dec.cells] == \
+            enumerate_patterns_reference(ds.lifted, FEASIBILITY_EPS)
+        assert dec.margin_lps == dec.size
 
 
 def test_every_witness_holds_its_pattern():
     # on a lattice jittered by 1e-8, some margin LPs report t above
     # FEASIBILITY_EPS with a witness that breaks its pattern by up to 3e-6;
     # those candidates are not cells
-    points = _grid(3) + 1e-8 * np.random.default_rng(0).normal(size=(9, 2))
-    ds = Dataset(points, np.zeros(9))
+    ds = _jittered_grid(0)
     dec = enumerate_cells(ds)
     for cell in dec.cells:
         held = np.min(np.array(cell.signs) * (ds.lifted @ cell.witness))
         assert held > FEASIBILITY_EPS
     assert (dec.size, dec.margin_lps) == (60, 74)
+
+
+MARGIN_DATASETS = {
+    "bench": _bench_cells_inputs,
+    "cases": lambda: [_case_dataset(case) for case in CASES],
+    "lattices": _lattices,
+    "jittered grid": lambda: [_jittered_grid(0)],
+}
+
+
+@pytest.mark.parametrize("name", MARGIN_DATASETS)
+def test_batched_margins_match_scalar_reference(name, monkeypatch):
+    # every margin LP the enumeration solves in a batch gives the t, theta
+    # (signed zeros included) and pivot count of the scalar loop solving it
+    # alone, and is optimal there too (max_margin raises otherwise)
+    calls = []
+
+    def record(rows, signs):
+        calls.append((rows, signs, max_margin(rows, signs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(arrangement, "max_margin", record)
+    for ds in MARGIN_DATASETS[name]():
+        _enumerate_quietly(ds)
+    monkeypatch.setattr(_simplex, "_bland", bland_stack_reference)
+    lps = 0
+    for rows, signs, out in calls:
+        alone = [max_margin(rows, signs[i : i + 1]) for i in range(len(signs))]
+        for got, ref in zip(out, map(np.concatenate, zip(*alone))):
+            assert same_bits(got, ref)
+        lps += len(signs)
+    assert lps > 0
+
+
+# seed: (pivots, pattern) of the one candidate of the 74 whose margin LP
+# roundoff drives to an unbounded column
+UNBOUNDED = {
+    13: (13, [-1, -1, 1, -1, -1, 1, -1, -1, 1]),
+    23: (10, [1, 1, 1, -1, -1, -1, -1, -1, -1]),
+    114: (17, [-1, -1, 1, -1, -1, 1, -1, -1, 1]),
+}
+
+
+@pytest.mark.parametrize("seed", UNBOUNDED)
+def test_unbounded_margin_lp_named_alike_by_both_loops(seed, monkeypatch):
+    ds = _jittered_grid(seed)
+    pivots, pattern = UNBOUNDED[seed]
+    expected = (f"margin subproblem returned unbounded after {pivots} "
+                f"pivots on pattern {pattern}")
+    with pytest.raises(NumericalError) as batched:
+        enumerate_cells(ds)
+    assert str(batched.value) == expected
+    monkeypatch.setattr(arrangement, "MARGIN_BATCH", 1)
+    monkeypatch.setattr(_simplex, "_bland", bland_stack_reference)
+    with pytest.raises(NumericalError) as alone:
+        enumerate_cells(ds)
+    assert str(alone.value) == expected
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_margin_batch_changes_nothing(cap, monkeypatch):
+    datasets = (_bench_cells_inputs() + [_jittered_grid(0)]
+                + [_case_dataset(case) for case in CASES])
+    before = [_enumerate_quietly(ds) for ds in datasets]
+    monkeypatch.setattr(arrangement, "MARGIN_BATCH", cap)
+    for ds, ref in zip(datasets, before):
+        dec = _enumerate_quietly(ds)
+        assert [c.signs for c in dec.cells] == [c.signs for c in ref.cells]
+        for cell, old in zip(dec.cells, ref.cells):
+            assert same_bits(cell.witness, old.witness)
+            assert same_bits(np.float64(cell.margin), np.float64(old.margin))
+        assert (dec.generic, dec.margin_lps, dec.margin_pivots) == \
+            (ref.generic, ref.margin_lps, ref.margin_pivots)
+        assert decomposition_to_json(dec) == decomposition_to_json(ref)
 
 
 def test_generic_means_cover_count():

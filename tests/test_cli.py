@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import bland_stack_reference
+from relucells import _simplex
+from relucells.arrangement import enumerate_cells
 from relucells.cli import main
 from relucells.model import Dataset, save_dataset_csv
 
@@ -14,7 +17,7 @@ def ds_csv(tmp_path, ds3):
     return path
 
 
-def test_cells_command(tmp_path, ds_csv, capsys):
+def test_cells_command(tmp_path, ds_csv, ds3, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["cells", str(ds_csv), "--out", str(out)]) == 0
     summary = json.loads((out / "cells_summary.json").read_text())
@@ -22,7 +25,9 @@ def test_cells_command(tmp_path, ds_csv, capsys):
     assert summary["formula_match"] is True
     # generic data: one LP per cell
     assert summary["margin_lps"] == 6
-    assert summary["margin_pivots"] > 0
+    # the pivots the scalar loop makes on the same LPs, one at a time
+    monkeypatch.setattr(_simplex, "_bland", bland_stack_reference)
+    assert summary["margin_pivots"] == enumerate_cells(ds3).margin_pivots == 21
     payload = json.loads((out / "cells.json").read_text())
     assert len(payload["cells"]) == 6
     assert "cells: 6" in capsys.readouterr().out
