@@ -233,27 +233,6 @@ def locate_cell(
     return best[2], boundary
 
 
-def cell_sum_check(
-    decomp: CellDecomposition, theta: np.ndarray, theta_p: np.ndarray
-) -> bool:
-    """Check ReLU additivity relu(u)+relu(u') = relu(u+u') at every datapoint.
-
-    Holds whenever theta and theta_p lie in the same cell (precondition).
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    theta_p = np.asarray(theta_p, dtype=float).ravel()
-    i1, _ = locate_cell(decomp, theta)
-    i2, _ = locate_cell(decomp, theta_p)
-    if i1 != i2:
-        raise PreconditionError("parameters do not lie in the same cell")
-    u = decomp.lifted @ theta
-    v = decomp.lifted @ theta_p
-    lhs = np.maximum(u, 0.0) + np.maximum(v, 0.0)
-    rhs = np.maximum(u + v, 0.0)
-    scale = max(1.0, float(np.max(np.abs(lhs))))
-    return bool(np.max(np.abs(lhs - rhs)) <= 1e-9 * scale)
-
-
 def decomposition_to_json(decomp: CellDecomposition) -> str:
     payload = {
         "n": decomp.n,

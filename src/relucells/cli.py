@@ -3,7 +3,8 @@
 Subcommands: cells, solve, train, analyze, compare, verify. Every command
 is a pure function of (config, seed, input files); options may come from a
 JSON config file (--config) with individual flags taking precedence.
-Exit codes: 0 ok, 2 infeasible, 3 non-convergence, 4 property failure.
+Exit codes: 0 ok, 1 invalid input, 2 infeasible, 3 non-convergence,
+4 property failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ from .arrangement import (
     enumerate_cells,
     expected_cell_count,
 )
-from .errors import ConvergenceError, InfeasibleError, ReluCellsError
+from .errors import (
+    ConvergenceError,
+    InfeasibleError,
+    PreconditionError,
+    ReluCellsError,
+)
 from .model import RadonMeasure, load_dataset_csv
 from .potentials import PotentialKind
 from .solver import (
@@ -50,7 +56,7 @@ from .trainer import (
     network_to_json,
     sgd_label_noise,
 )
-from .verify import run_suite, suite_to_json
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -96,7 +102,10 @@ def _load_support(path: str, dataset, decomp, tau_angle=None):
         net = network_from_json(p.read_text())
         tau = TAU_ANGLE_TRAINED if tau_angle is None else tau_angle
         return effective_support(net, decomp, tau_angle=tau)
-    arr = np.atleast_2d(np.loadtxt(p, delimiter=",", skiprows=1))
+    # solve writes a header-only file for a 0-atom measure
+    header, *rows = p.read_text().splitlines()
+    arr = (np.loadtxt(rows, delimiter=",", ndmin=2) if rows
+           else np.zeros((0, header.count(",") + 1)))
     nu = RadonMeasure(arr[:, :-1], arr[:, -1])
     tau = TAU_ANGLE_SOLVER if tau_angle is None else tau_angle
     return effective_support(nu, decomp, tau_angle=tau)
@@ -259,16 +268,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    passed, results = run_suite(
+    report = run_suite(
         seed=args.seed, quick=args.quick, inject_failure=args.inject_failure
     )
-    for r in results:
+    for r in report["checks"]:
         tag = "PASS" if r["passed"] else "FAIL"
         print(f"{tag} {r['name']:24s} {r['seconds']:8.2f}s  {r['detail']}")
     if args.out:
         out = _outdir(args)
-        (out / "verify.json").write_text(suite_to_json(passed, results))
-    return EXIT_OK if passed else EXIT_PROPERTY_FAILURE
+        (out / "verify.json").write_text(json.dumps(report, indent=2))
+    return EXIT_OK if report["passed"] else EXIT_PROPERTY_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +360,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(_merge_config(args, args.parser))
+        args = _merge_config(args, args.parser)
+        if args.seed < 0:
+            raise PreconditionError(f"--seed must be >= 0, got {args.seed}")
+        return args.fn(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -26,12 +26,7 @@ import numpy as np
 
 from .arrangement import CellDecomposition
 from .errors import PreconditionError
-from .model import Dataset, Neuron, angle, relu
-
-# equality-vs-strict threshold in the convexity classifier
-CONVEXITY_EQ_TOL = 1e-10
-# two parameter directions count as proportional below this angle
-PROPORTIONAL_TOL = 1e-8
+from .model import Dataset, Neuron, relu
 
 
 class Variant(Enum):
@@ -166,39 +161,6 @@ def cell_gauge(
         sq = np.sum(decomp.lifted[active, :-1] ** 2, axis=1) if active else np.zeros(0)
         kappa = 2.0 * float(np.sqrt(np.sum(1.0 + sq) / n)) if active else 0.0
     return CellGauge(cell_index, Q, kappa)
-
-
-def _proportional(theta: np.ndarray, theta_p: np.ndarray) -> bool:
-    n1 = np.linalg.norm(theta)
-    n2 = np.linalg.norm(theta_p)
-    if n1 == 0.0 or n2 == 0.0:
-        return True
-    return float(angle(theta / n1, theta_p / n2)) < PROPORTIONAL_TOL
-
-
-def effective_convexity_test(
-    kind: PotentialKind, theta: np.ndarray, theta_p: np.ndarray, lam: float
-) -> str:
-    """Classify the convexity inequality of w at one interpolation point.
-
-    Returns "strict", "equality_proportional" or "violation". 1-homogeneous
-    weights are never strictly convex along rays, so equality together with
-    proportional parameters is the expected degenerate outcome.
-    """
-    if not 0.0 < lam < 1.0:
-        raise PreconditionError("interpolation weight must lie in (0, 1)")
-    theta = np.asarray(theta, dtype=float).ravel()
-    theta_p = np.asarray(theta_p, dtype=float).ravel()
-    mid = lam * theta + (1.0 - lam) * theta_p
-    lhs = weight(kind, mid)
-    rhs = lam * weight(kind, theta) + (1.0 - lam) * weight(kind, theta_p)
-    scale = max(1.0, abs(rhs))
-    if lhs > rhs + CONVEXITY_EQ_TOL * scale:
-        return "violation"
-    if rhs - lhs > CONVEXITY_EQ_TOL * scale:
-        return "strict"
-    # equality is only legitimate along a common ray
-    return "equality_proportional" if _proportional(theta, theta_p) else "violation"
 
 
 def at_bulk(decomp: CellDecomposition, cell_index: int) -> bool:

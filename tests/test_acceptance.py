@@ -2,7 +2,10 @@
 
 Each test covers one headline property at desk scale, prints a single
 pass/fail line with its runtime, and enforces the stated tolerance and
-time budget.
+time budget. Criteria 01, 02, 03, 09 and 10 are the `relucells verify`
+checks of `relucells.verify` run at full scale with a pinned seed, so the
+command and the gate share one implementation. The others check the
+solver and training against the independent references in `oracles.py`.
 """
 
 import time
@@ -17,23 +20,13 @@ from relucells.analysis import (
     effective_support,
     one_point_per_cell,
 )
-from relucells.arrangement import enumerate_cells, expected_cell_count
-from relucells.model import (
-    AtomicMeasure,
-    Dataset,
-    Neuron,
-    ParticleNetwork,
-    predict_measure,
-    predict_radon,
-    project_to_sphere,
-    relu,
-)
+from relucells.arrangement import enumerate_cells
+from relucells.model import Dataset, Neuron
 from relucells.potentials import (
     PotentialKind,
     at_bulk,
     potential,
     rescale_minimize,
-    weight,
 )
 from relucells.solver import (
     LPInstance,
@@ -47,10 +40,15 @@ from relucells.trainer import (
     TrainConfig,
     balancedness,
     gd_weight_decay,
-    objective_and_grads,
     sgd_label_noise,
 )
-from relucells.analysis import merge_cell_mass
+from relucells.verify import (
+    check_cell_count,
+    check_convexity,
+    check_gradient_fd,
+    check_relu_additivity,
+    check_structure_preserving,
+)
 
 
 def _report(capsys, num, name, ok, elapsed, extra=""):
@@ -63,93 +61,28 @@ def _report(capsys, num, name, ok, elapsed, extra=""):
 
 def test_criterion_01_cell_count_law(capsys):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(8)
-    ok = True
-    for trial in range(20):
-        d = (1, 2, 3)[trial % 3]
-        n = 2 + trial % 7
-        ds = random_generic_dataset(rng, n, d)
-        dec = enumerate_cells(ds)
-        ok &= dec.size == expected_cell_count(n, d)
-        dirs = rng.standard_normal((100_000, d + 1))
-        # one base-3 code per sign row (sign + 1 keeps a zero sign distinct)
-        digits = np.sign(ds.lifted @ dirs.T).T.astype(np.int64) + 1
-        codes = np.unique(digits @ 3 ** np.arange(n))
-        sampled = {tuple(int(c) // 3**i % 3 - 1 for i in range(n)) for c in codes}
-        enumerated = set(dec.lookup)
-        ok &= sampled <= enumerated
-        if d <= 2:
-            ok &= sampled == enumerated
+    ok, detail = check_cell_count(np.random.default_rng(8), quick=False)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
-    _report(capsys, 1, "cell-count law", ok, elapsed)
+    _report(capsys, 1, "cell-count law", ok, elapsed, extra=f", {detail}")
 
 
 def test_criterion_02_relu_additivity(capsys):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2)
-    ok = True
-    pairs_done = 0
-    while pairs_done < 10_000:
-        d = int(rng.integers(1, 3))
-        ds = random_generic_dataset(rng, int(rng.integers(2, 6)), d)
-        dec = enumerate_cells(ds)
-        L = ds.lifted
-        V = rng.standard_normal((4_000, d + 1))
-        pat = np.sign(L @ V.T).T.astype(np.int8)
-        order = np.lexsort(pat.T)
-        V, pat = V[order], pat[order]
-        same = np.all(pat[:-1] == pat[1:], axis=1)
-        idx = np.flatnonzero(same)[: 10_000 - pairs_done]
-        if idx.size == 0:
-            continue
-        t1, t2 = V[idx], V[idx + 1]
-        lhs = relu(L @ t1.T) + relu(L @ t2.T)
-        rhs = relu(L @ (t1 + t2).T)
-        scale = np.maximum(np.abs(lhs), 1.0)
-        ok &= bool(np.max(np.abs(lhs - rhs) / scale) <= 1e-9)
-        pairs_done += idx.size
-    # opposite rays on the line: additivity fails at the data
-    x = np.array([[1.0, 1.0]])
-    t1, t2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-    bad = relu(x @ t1) + relu(x @ t2) - relu(x @ (t1 + t2))
-    ok &= bool(np.abs(bad[0]) > 0.5)
+    ok, detail = check_relu_additivity(np.random.default_rng(2), quick=False)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
-    _report(capsys, 2, "same-cell additivity", ok, elapsed)
+    _report(capsys, 2, "same-cell additivity", ok, elapsed,
+            extra=f", {detail}")
 
 
 def test_criterion_03_midpoint_convexity(capsys):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(3)
-    ok = True
-    strict_checked = 0
-    for _ in range(10):
-        ds = random_generic_dataset(rng, int(rng.integers(2, 6)), 1)
-        kind = PotentialKind.label_noise(ds)
-        L = ds.lifted
-        for _ in range(1_000):
-            th1 = rng.standard_normal(2)
-            th2 = rng.standard_normal(2)
-            mid = 0.5 * (th1 + th2)
-            lhs = weight(kind, mid)
-            rhs = 0.5 * weight(kind, th1) + 0.5 * weight(kind, th2)
-            scale = max(1.0, rhs)
-            ok &= lhs <= rhs + 1e-12 * scale
-            # strictness at non-proportional full-rank probes
-            u1 = th1 / np.linalg.norm(th1)
-            u2 = th2 / np.linalg.norm(th2)
-            ang = np.arccos(np.clip(u1 @ u2, -1.0, 1.0))
-            full1 = np.sum(L @ th1 > 1e-6 * np.linalg.norm(th1)) >= 2
-            full2 = np.sum(L @ th2 > 1e-6 * np.linalg.norm(th2)) >= 2
-            if ang > 1e-3 and full1 and full2:
-                ok &= lhs < rhs
-                strict_checked += 1
-    ok &= strict_checked > 1_000
+    ok, detail = check_convexity(np.random.default_rng(3), quick=False)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
     _report(capsys, 3, "midpoint convexity of the label-noise weight", ok,
-            elapsed)
+            elapsed, extra=f", {detail}")
 
 
 def test_criterion_04_rescaling_identity(capsys):
@@ -309,89 +242,18 @@ def test_criterion_08_label_noise_regularization(capsys, ds2):
 
 def test_criterion_09_gradient_oracle(capsys):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(9)
-    cfg = TrainConfig(width=3, decay=0.1)
-    ok = True
-    checked = 0
-    h = 1e-6
-    while checked < 1_000:
-        ds = Dataset(rng.normal(size=(3, 1)), rng.normal(size=3))
-        net = ParticleNetwork(rng.normal(size=(3, 1)), rng.normal(size=3),
-                              rng.normal(size=3))
-        pre = ds.points @ net.A.T + net.b
-        if np.min(np.abs(pre)) < 1e-3:  # keep clear of the hinge
-            continue
-        _, _, _, gA, gb, gc = objective_and_grads(net, ds, cfg)
-        analytic = np.concatenate([gA.ravel(), gb, gc])
-        fd = np.empty_like(analytic)
-        params = [net.A.ravel(), net.b, net.c]
-        flat_idx = 0
-        for arr in params:
-            for i in range(arr.size):
-                old = arr[i]
-                arr[i] = old + h
-                up = objective_and_grads(net, ds, cfg)[0]
-                arr[i] = old - h
-                down = objective_and_grads(net, ds, cfg)[0]
-                arr[i] = old
-                fd[flat_idx] = (up - down) / (2 * h)
-                flat_idx += 1
-        scale = np.maximum(np.abs(fd), 1e-2)
-        ok &= bool(np.max(np.abs(analytic - fd) / scale) <= 1e-5)
-        checked += 1
+    ok, detail = check_gradient_fd(np.random.default_rng(9), quick=False)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
     _report(capsys, 9, "analytic gradients match finite differences", ok,
-            elapsed)
+            elapsed, extra=f", {detail}")
 
 
-def test_criterion_10_structure_preserving_operations(capsys, ds3, dec3):
+def test_criterion_10_structure_preserving_operations(capsys, ds3):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(10)
-    kind = PotentialKind.tv()
-    ok = True
-    strict = 0
-    for _ in range(1_000):
-        ci = int(rng.integers(dec3.size))
-        cell = dec3.cells[ci]
-        w = cell.witness
-        scale = 0.2 * cell.margin
-        t1 = w + rng.normal(scale=scale, size=2)
-        t2 = 2.0 * w + rng.normal(scale=scale, size=2)
-        mu = AtomicMeasure(np.array([t1[:1], t2[:1]]),
-                           np.array([t1[1], t2[1]]),
-                           np.ones(2), np.array([0.6, 0.4]))
-        preds = predict_measure(mu, ds3.points)
-
-        nu = project_to_sphere(mu)
-        ok &= bool(np.max(np.abs(predict_radon(nu, ds3.points) - preds))
-                   <= 1e-9)
-
-        merged = merge_cell_mass(mu, dec3)
-        ok &= bool(np.max(np.abs(predict_measure(merged, ds3.points) - preds))
-                   <= 1e-9)
-        # first moments of the cell are carried over exactly
-        want_a = mu.p @ (mu.c * mu.A[:, 0])
-        want_b = mu.p @ (mu.c * mu.b)
-        got_a = merged.p @ (merged.c * merged.A[:, 0])
-        got_b = merged.p @ (merged.c * merged.b)
-        ok &= abs(want_a - got_a) <= 1e-12 and abs(want_b - got_b) <= 1e-12
-
-        def tv_value(m):
-            return sum(
-                m.p[j] * potential(kind, Neuron(m.A[j], m.b[j], m.c[j]))
-                for j in range(m.k)
-            )
-
-        before, after = tv_value(mu), tv_value(merged)
-        ok &= after <= before + 1e-12
-        u1 = t1 / np.linalg.norm(t1)
-        u2 = t2 / np.linalg.norm(t2)
-        if np.arccos(np.clip(u1 @ u2, -1.0, 1.0)) > 1e-6:
-            ok &= after < before
-            strict += 1
-    ok &= strict > 900
+    ok, detail = check_structure_preserving(np.random.default_rng(10),
+                                            quick=False, dataset=ds3)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
     _report(capsys, 10, "merging and sphere projection preserve structure",
-            ok, elapsed)
+            ok, elapsed, extra=f", {detail}")

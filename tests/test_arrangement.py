@@ -15,7 +15,6 @@ from relucells._simplex import max_margin
 from relucells.arrangement import (
     FEASIBILITY_EPS,
     RANK_CHUNK,
-    cell_sum_check,
     dataset_fingerprint,
     decomposition_to_json,
     enumerate_cells,
@@ -24,7 +23,7 @@ from relucells.arrangement import (
     locate_cell,
 )
 from relucells.errors import (
-    NumericalError, PreconditionError, ZeroDirectionError,
+    NumericalError, ZeroDirectionError,
 )
 from relucells.model import Dataset
 
@@ -311,20 +310,6 @@ def test_locate_cell_boundary_resolves_active(ds3, dec3):
 def test_locate_cell_rejects_zero(dec3):
     with pytest.raises(ZeroDirectionError):
         locate_cell(dec3, np.zeros(2))
-
-
-def test_cell_sum_check_same_cell(dec3):
-    rng = np.random.default_rng(4)
-    for cell in dec3.cells:
-        th1 = (0.5 + rng.random()) * cell.witness
-        th2 = (0.5 + rng.random()) * cell.witness
-        assert cell_sum_check(dec3, th1, th2)
-
-
-def test_cell_sum_check_rejects_cross_cell(dec3):
-    w = dec3.cells[0].witness
-    with pytest.raises(PreconditionError):
-        cell_sum_check(dec3, w, -w)
 
 
 def test_duplicate_points_warn_and_dedup():

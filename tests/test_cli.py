@@ -188,12 +188,50 @@ def test_verify_quick(tmp_path, capsys):
     assert "PASS" in text and "FAIL" not in text
     payload = json.loads((out / "verify.json").read_text())
     assert all(rec["passed"] for rec in payload["checks"])
+    assert payload["seed"] == 0 and payload["scale"] == "quick"
+    assert payload["seconds"] >= sum(rec["seconds"] for rec in payload["checks"])
 
 
 def test_verify_inject_failure(tmp_path, capsys):
     rc = main(["verify", "--quick", "--inject-failure"])
     assert rc == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_zero_atom_measure_roundtrip(tmp_path):
+    # zero targets: the minimal measure is empty, and radon.csv is a header
+    ds = Dataset(np.array([[-1.0], [0.5]]), np.zeros(2))
+    path = tmp_path / "zero.csv"
+    save_dataset_csv(ds, path)
+    run = tmp_path / "s"
+    assert main(["solve", str(path), "--out", str(run)]) == 0
+    radon = run / "radon.csv"
+    assert radon.read_text().strip() == "dir0,dir1,mass"
+    out = tmp_path / "a"
+    assert main(["analyze", str(path), str(radon), "--out", str(out)]) == 0
+    assert json.loads((out / "sparsity.json").read_text())["support_count"] == 0
+    out = tmp_path / "c"
+    assert main(["compare", str(path), str(radon), str(radon),
+                 "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", [["verify", "--quick"],
+                                     ["train", "DATA", "--steps", "10"]])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_negative_seed_is_rejected(tmp_path, ds_csv, capsys, command,
+                                   from_config):
+    argv = [str(ds_csv) if a == "DATA" else a for a in command]
+    argv += ["--out", str(tmp_path / "out")]
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--seed", "-1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_flag(capsys):

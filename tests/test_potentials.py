@@ -11,7 +11,6 @@ from relucells.potentials import (
     Variant,
     at_bulk,
     cell_gauge,
-    effective_convexity_test,
     potential,
     rescale_minimize,
     weight,
@@ -148,26 +147,6 @@ def test_cell_gauge_empty_active_set(ds3, dec3):
     idx = dec3.lookup[all_neg]
     g = cell_gauge(PotentialKind.label_noise(ds3), dec3, idx)
     assert g(np.array([1.0, -2.0])) == pytest.approx(0.0)
-
-
-def test_convexity_classifier():
-    kind = PotentialKind.tv()
-    assert effective_convexity_test(
-        kind, np.array([1.0, 0.0]), np.array([2.0, 0.0]), 0.5
-    ) == "equality_proportional"
-    assert effective_convexity_test(
-        kind, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5
-    ) == "strict"
-    with pytest.raises(PreconditionError):
-        effective_convexity_test(kind, np.ones(2), np.ones(2), 1.0)
-
-
-def test_label_noise_strict_at_full_rank(ds3):
-    kind = PotentialKind.label_noise(ds3)
-    # both directions activate all three points: full-rank active set
-    th1 = np.array([0.1, 2.0])
-    th2 = np.array([-0.1, 2.5])
-    assert effective_convexity_test(kind, th1, th2, 0.5) == "strict"
 
 
 def test_midpoint_convexity_random():
