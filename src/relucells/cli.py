@@ -172,6 +172,8 @@ def cmd_solve(args) -> int:
         "primal_residual": sol.primal_residual,
         "iterations": sol.iterations,
         "converged": sol.converged,
+        "stop_reason": sol.diagnostics["stop_reason"],
+        "finish_attempts": sol.diagnostics["finish_attempts"],
         "atoms": nu.k,
         "alignment_residual": cert["alignment_residual"],
         "inactive_dual_bound": cert["inactive_dual_bound"],
@@ -185,7 +187,8 @@ def cmd_solve(args) -> int:
         report["lp_support_ok"] = bool(len(support) <= ds.n)
     (out / "solve_report.json").write_text(json.dumps(report, indent=2))
     print(f"objective {sol.objective:.9g}  atoms {nu.k}  "
-          f"iterations {sol.iterations}  converged {sol.converged}")
+          f"iterations {sol.iterations}  converged {sol.converged}  "
+          f"stop {sol.diagnostics['stop_reason']}")
     if not sol.converged:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

@@ -65,23 +65,26 @@ class PotentialKind:
 
 
 def second_moments(points: np.ndarray, A: np.ndarray, b):
-    """The (n, k) tables relu(pre)^2 and (1 + |x|^2) 1[pre >= 0].
+    """The (n, k) tables relu(pre)^2 and (1 + |x|^2) 1[pre > 1e-9 ||(a, b)||].
 
     pre = points @ A.T + b, the trainer's preactivation form: row i is the
     datapoint x_i, column j the inner parameters (A[j], b[j]). Every
-    label-noise quantity is a mean of these two tables.
+    label-noise quantity is a mean of these two tables. A point on the
+    neuron's hinge, to roundoff, is not counted, as relu'(0) = 0 and the
+    cell gauges (cell_gauge) do: a wall atom has pre = +-roundoff there.
     """
     pre = points @ A.T + b
     sq = 1.0 + np.sum(points**2, axis=1)
-    return relu(pre) ** 2, sq[:, None] * (pre >= 0.0)
+    hinge = 1e-9 * np.sqrt(np.sum(A**2, axis=1) + np.square(b))
+    return relu(pre) ** 2, sq[:, None] * (pre > hinge)
 
 
 def rescale_minimize(neuron: Neuron, dataset: Dataset) -> tuple[float, float]:
     """Minimise the raw implicit potential over the orbit (la, lb, c/l), l > 0.
 
-    With A = E_D[relu(a.x+b)^2] and B = c^2 E_D[(1+|x|^2) 1[a.x+b >= 0]]
-    (the indicator is orbit-invariant) the objective is l^2 A + B / l^2,
-    with minimiser l* = (B/A)^{1/4} and value 2 sqrt(A B).
+    With A = E_D[relu(a.x+b)^2] and B = c^2 E_D[(1+|x|^2) 1[a.x+b > 0]]
+    (the indicator of second_moments is orbit-invariant) the objective is
+    l^2 A + B / l^2, with minimiser l* = (B/A)^{1/4} and value 2 sqrt(A B).
     Returns (l*, value); (1, 0) when the neuron is inactive on the dataset.
     """
     R, S = second_moments(dataset.points, neuron.a[None, :], neuron.b)

@@ -25,6 +25,17 @@ faces, so it is the nearest in-cone point among the projections onto the
 spans {v : <v, n_i> = 0, i in S} for sets S of at most d walls of the
 cell, or the origin.
 
+Douglas-Rachford finds which blocks carry an atom and which walls each
+atom rests on long before its objective settles. So at iterations
+OBJ_WINDOW 2^j where that structure is the one of the previous such
+check, and once when the loop stops, a finishing step (_finish) solves
+the KKT system of that structure by Newton's method and keeps the point
+only when optimality_certificate proves it optimal to TOL_KKT; the solve
+then stops as "certified". A declined attempt leaves the loop as it
+was. Otherwise the loop stops as "converged" (residual and objective
+settled) or at "max_iters". Solution.iterations counts Douglas-Rachford
+iterations only.
+
 Atom extraction reads one signed atom per live block and merges blocks on
 one ray (model.merge_identical_rays), such as a wall ray that two adjacent
 cells both hold.
@@ -61,6 +72,9 @@ OBJ_WINDOW = 100
 CHECK_EVERY = 10
 STEP = 1.0  # gauge prox step of the splitting
 RELAX = 0.85  # 0.5 is plain Douglas-Rachford
+# A finished point is kept when its KKT residual, its dual bound's excess
+# over 1 and its most negative normal-cone coefficient are within TOL_KKT.
+TOL_KKT = 1e-9
 
 
 @dataclass
@@ -380,8 +394,8 @@ def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solutio
         if np.max(np.abs(program.y)) > TOL_FEAS:
             raise InfeasibleError("no active cells but nonzero targets")
         z = np.zeros((0, program.k))
-        return Solution(z, z, (), 0.0, 0.0, 0, True, program.mode,
-                        program.lam, {})
+        return Solution(z, z, (), 0.0, 0.0, 0, True, program.mode, program.lam,
+                        {"stop_reason": "converged", "finish_attempts": 0})
     return _solve(program, config)
 
 
@@ -456,7 +470,9 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
     obj_hist: list[float] = []
     best = None
     it = 0
-    converged = False
+    stop_reason = "max_iters"
+    finished = last_face = None
+    attempts = 0
     while it < config.max_iters:
         it += 1
         X1[:] = prox_g.prox(Z1, STEP)
@@ -468,23 +484,41 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
         S[:3] = Z
 
         if it % CHECK_EVERY == 0 or it == config.max_iters:
-            reg = prox_g.value(X3)
-            fit = A @ x3 - y
+            obj, fit = _objective(program, prox_g, x3)
             if penalized:
-                obj = 0.5 * float(fit @ fit) / n + lam * reg
                 res = float(np.linalg.norm(A @ (x3 - x2))) / (n * lam)
             else:
-                obj = reg
                 res = float(np.linalg.norm(fit)) / yscale
             obj_hist.append(obj)
             if best is None or (res, obj) < best[:2]:
                 best = (res, obj, x3.copy())
             if res < TOL_FEAS and _objective_settled(obj_hist):
-                converged = True
+                stop_reason = "converged"
                 best = (res, obj, x3.copy())
                 break
+            j = it // OBJ_WINDOW
+            if it == j * OBJ_WINDOW and j & (j - 1) == 0:
+                # attempt once the live blocks and their walls have held
+                # since the last such check: on a non-unique optimum an
+                # early structure would pick another point of the optimal
+                # face than the one the loop settles on
+                live, _, touched = _structure(program, x3, obj)
+                face = (live.tobytes(), touched[live].tobytes())
+                if face == last_face:
+                    attempts += 1
+                    finished = _finish(program, prox_g, x3, obj)
+                    if finished is not None:
+                        break
+                last_face = face
 
-    _, obj, x = best
+    if finished is None:
+        attempts += 1
+        finished = _finish(program, prox_g, best[2], best[1])
+    if finished is not None:
+        x, obj = finished
+        stop_reason = "certified"
+    else:
+        _, obj, x = best
     W = _split(program, x)
     K = len(program.cells_used)
     fit = A @ x - y
@@ -492,7 +526,8 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
         "step": STEP,
         "cone_violation": cone_violation(W, program.signs, program.normals),
         "objective_checks": len(obj_hist),
-        "stop_reason": "converged" if converged else "max_iters",
+        "stop_reason": stop_reason,
+        "finish_attempts": attempts,
         "newton_steps": prox_g.newton_steps,
     }
     if penalized:
@@ -500,14 +535,168 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
         diag["regulariser"] = prox_g.value(W)
     return Solution(
         W[:K].copy(), W[K:].copy(), program.cells_used, obj,
-        float(np.linalg.norm(fit)) / yscale, it, converged, program.mode,
-        program.lam, diag,
+        float(np.linalg.norm(fit)) / yscale, it, stop_reason != "max_iters",
+        program.mode, program.lam, diag,
     )
 
 
-def _atom_eps(solution: Solution) -> float:
+def _objective(program: FiniteProgram, prox_g: _GaugeProx, x: np.ndarray):
+    """The objective at x, and the fit A x - y."""
+    fit = program.A @ x - program.y
+    reg = prox_g.value(_split(program, x))
+    if program.mode == "penalized":
+        return 0.5 * float(fit @ fit) / program.dataset.n + program.lam * reg, fit
+    return reg, fit
+
+
+def _finish(
+    program: FiniteProgram, prox_g: _GaugeProx, x: np.ndarray, objective: float
+) -> tuple[np.ndarray, float] | None:
+    """Newton's method on the KKT system of the live blocks of x and the
+    walls they touch; (point, objective) when optimality_certificate proves
+    the point optimal to TOL_KKT, else None. x itself is not changed.
+
+    Live block b is restricted to the span of the face it rests on, x_b =
+    U_b z_b with U_b an orthonormal basis of {v : <n_i, v> = 0 for every
+    touched wall i}, and (z, mu) solves the square system
+
+        U_b^T grad g_b(U_b z_b) = (A_b U_b)^T mu    (every live b)
+        sum_b A_b U_b z_b - y + ridge mu = 0,
+
+    with ridge 0 when constrained and n lam when penalized, where mu =
+    (y - A x) / (n lam) are the data step's multipliers. The normal-cone
+    terms of the touched walls vanish on the face span. Each step is the
+    least-squares solution of the linearised system, which is singular
+    where two blocks hold one ray or the optimum is not unique.
+    """
+    A, y, k = program.A, program.y, program.k
+    n, K = program.dataset.n, len(program.cells_used)
+    W = _split(program, x)
+    live, inward, touched = _structure(program, x, objective)
+    if live.size == 0:
+        return None
+    blocks = []  # (block, U_b, slice of z_b)
+    m = 0
+    for b in live:
+        _, sv, Vt = np.linalg.svd(inward[b, touched[b]].reshape(-1, k))
+        U = Vt[int(np.sum(sv > 1e-10)):].T
+        blocks.append((b, U, slice(m, m + U.shape[1])))
+        m += U.shape[1]
+    G = np.hstack([A[:, b * k : (b + 1) * k] @ U for b, U, _ in blocks])
+    ridge = n * program.lam if program.mode == "penalized" else 0.0
+    J = np.zeros((m + n, m + n))
+    J[:m, m:] = -G.T
+    J[m:, :m] = G
+    J[m:, m:] = ridge * np.eye(n)
+    p = np.concatenate([U.T @ W[b] for b, U, _ in blocks] + [np.zeros(n)])
+    F = np.empty(m + n)
+    for step in range(9):  # at most 8 Newton steps
+        z, mu = p[:m], p[m:]
+        for b, U, s in blocks:
+            g = program.gauges[b % K]
+            xb = U @ z[s]
+            Qx = g.Q @ xb
+            norm = np.sqrt(xb @ Qx)
+            if not norm > 0.0:
+                return None
+            F[s] = g.kappa * (U.T @ Qx) / norm
+            J[s, s] = g.kappa / norm * (U.T @ (g.Q - np.outer(Qx, Qx) / norm**2) @ U)
+        F[:m] -= G.T @ mu
+        F[m:] = G @ z - y + ridge * mu
+        res = np.max(np.abs(F))
+        if not np.isfinite(res):
+            return None
+        if res <= 1e-14 * (1.0 + np.max(np.abs(p))) or step == 8:
+            break
+        p -= np.linalg.lstsq(J, F, rcond=None)[0]
+    if res > TOL_KKT:
+        return None
+
+    Wf = np.zeros_like(W)
+    for b, U, s in blocks:
+        Wf[b] = U @ p[s]
+    xf = Wf.ravel()
+    inside = program.signs * (Wf @ program.normals.T) >= -1e-12 * np.linalg.norm(
+        Wf, axis=1)[:, None]
+    obj, fit = _objective(program, prox_g, xf)
+    if not inside.all() or (
+        not ridge and np.linalg.norm(fit) >= TOL_FEAS * (1.0 + np.linalg.norm(y))
+    ):
+        return None
+    sol = Solution(Wf[:K], Wf[K:], program.cells_used, obj, 0.0, 0, True,
+                   program.mode, program.lam, {})
+    cert = optimality_certificate(program, sol)
+    if (cert["alignment_residual"] <= TOL_KKT
+            and cert["inactive_dual_bound"] <= 1.0 + TOL_KKT
+            and cert["normal_multiplier_min"] >= -TOL_KKT):
+        return xf, obj
+    return None
+
+
+def _atom_eps(objective: float) -> float:
     """Norm below which a block carries no atom."""
-    return ATOM_EPS_REL * max(1.0, abs(solution.objective))
+    return ATOM_EPS_REL * max(1.0, abs(objective))
+
+
+def _touched_walls(program: FiniteProgram, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inward normals s_i n_i of every block's hyperplanes, (2K, n, k),
+    and which of them each block x touches: s_i <n_i, x> is zero to 1e-6
+    max(1, ||x||)."""
+    inward = program.signs[:, :, None] * program.normals
+    touched = np.abs(np.einsum("bnk,bk->bn", inward, W)) <= 1e-6 * np.maximum(
+        1.0, np.linalg.norm(W, axis=1)
+    )[:, None]
+    return inward, touched
+
+
+def _structure(program: FiniteProgram, x: np.ndarray, objective: float):
+    """The live blocks of x (indices), the inward wall normals and which
+    walls each block touches (see _live_blocks and _touched_walls)."""
+    W = _split(program, x)
+    live = np.flatnonzero(_live_blocks(program, W, _atom_eps(objective)))
+    return (live, *_touched_walls(program, W))
+
+
+def cone_price(program: FiniteProgram, blocks, q: np.ndarray) -> np.ndarray:
+    """sup of <q_b, v> / g_b(v) over the cone of block b, for each block b
+    of blocks and its row q_b of q: the dual gauge of q_b on the cone.
+
+    The sup is reached in the relative interior of a face of the cone,
+    where it is the sup over the face's span. With P the projector onto
+    that span and R = P Q_b P, the maximiser there is v = R^+ q_b, of value
+    sqrt(q_b^T R^+ q_b) / kappa_b, and the sup is unbounded along r = (P -
+    R^+ R) q_b, the part of P q_b where the gauge vanishes. So the price is
+    the largest ratio among the candidates v and r of every face (the faces
+    of cone_faces) that lie in the cone; r counts when it is above 1e-9
+    ||q_b||. For the TV gauge the candidates are the projections P q_b, and
+    the price is the norm of the projection onto the cone.
+    """
+    blocks = np.asarray(blocks, dtype=int)
+    if blocks.size == 0:
+        return np.zeros(0)
+    k = program.k
+    K = len(program.cells_used)
+    cones = program.cones[blocks]
+    P = cones[:, :k, 1:].transpose(0, 2, 1, 3)  # (B, F, k, k), the apex left out
+    WP = cones[:, k:, 1:].transpose(0, 2, 1, 3)  # (B, F, w, k) walls @ P
+    Qb = np.array([program.gauges[b % K].Q for b in blocks])
+    kappa = np.array([program.gauges[b % K].kappa for b in blocks])[:, None, None]
+    # R^+ from the eigenpairs of R above 1e-12 ||Q_b||: the face's own
+    # scale would make R^+ of a face on which the gauge vanishes roundoff
+    lam, E = np.linalg.eigh(P @ Qb[:, None] @ P)
+    keep = lam > 1e-12 * np.max(np.abs(Qb), axis=(1, 2))[:, None, None]
+    Eq = np.where(keep, np.einsum("bfki,bk->bfi", E, q), 0.0)  # q in R's eigenbasis
+    v = np.einsum("bfki,bfi->bfk", E, Eq / np.where(keep, lam, 1.0))
+    r = np.einsum("bfkj,bj->bfk", P, q) - np.einsum("bfki,bfi->bfk", E, Eq)
+    r[np.linalg.norm(r, axis=2) <= 1e-9 * np.linalg.norm(q, axis=1)[:, None]] = 0.0
+    cand = np.stack([v, r], axis=2)  # (B, F, 2, k)
+    inside = np.min(cand @ WP.transpose(0, 1, 3, 2), axis=3, initial=0.0) >= (
+        -1e-12 * np.linalg.norm(cand, axis=3))
+    num = np.einsum("bfck,bk->bfc", cand, q)
+    gv = kappa * np.sqrt(np.maximum(np.einsum("bfci,bij,bfcj->bfc", cand, Qb, cand), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(gv > 0.0, num / gv, np.where(num > 0.0, np.inf, 0.0))
+    return np.max(np.where(inside, ratio, 0.0), axis=(1, 2), initial=0.0)
 
 
 def _live_blocks(program: FiniteProgram, W: np.ndarray, atom_eps: float) -> np.ndarray:
@@ -531,7 +720,7 @@ def extract_radon(program: FiniteProgram, solution: Solution) -> RadonMeasure:
     a u/v pair on one ray, becomes one atom with the summed signed mass.
     Atoms whose net mass is at most atom_eps are dropped.
     """
-    atom_eps = _atom_eps(solution)
+    atom_eps = _atom_eps(solution.objective)
     K = len(solution.u)
     W = np.vstack([solution.u, solution.v])
     live = _live_blocks(program, W, atom_eps)
@@ -602,18 +791,13 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
     explicit for the squared loss and only the coefficients are fit. The
     most negative coefficient is reported.
     """
-    atom_eps = _atom_eps(solution)
+    atom_eps = _atom_eps(solution.objective)
     k = program.k
     n = program.dataset.n
     K = len(program.cells_used)
     W = np.vstack([solution.u, solution.v]) if K else np.zeros((0, k))
 
-    # block x touches wall i when s_i <n_i, x> is zero to 1e-6 max(1, ||x||);
-    # s_i n_i is that wall's inward normal
-    inward = program.signs[:, :, None] * program.normals  # (2K, n, k)
-    touched = np.abs(np.einsum("bnk,bk->bn", inward, W)) <= 1e-6 * np.maximum(
-        1.0, np.linalg.norm(W, axis=1)
-    )[:, None]
+    inward, touched = _touched_walls(program, W)
 
     # on live block b: grad g(x_b) = A_b^T mult + sum of beta nrm over the
     # inward normals nrm of its touched walls, with unknowns (mult, beta)
@@ -639,19 +823,10 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
     # support of q = A_blk^T mult over the cone intersected with the unit
     # gauge ball, on every inactive block
     inactive = [blk for blk in range(2 * K) if blk not in live]
-    Q = (mult @ program.A).reshape(2 * K, k)[inactive]
-    QC = project_cones(Q, program.cones[inactive])
-    dual_bound = 0.0
-    for blk, q, qc in zip(inactive, Q, QC):
-        nq = np.linalg.norm(qc)
-        if nq > 1e-12:
-            v = qc / nq  # exact maximizer direction for the TV gauge
-            gv = program.gauges[blk % K](v)
-            if gv > 1e-12:
-                dual_bound = max(dual_bound, float(q @ v) / gv)
+    price = cone_price(program, inactive, (mult @ program.A).reshape(2 * K, k)[inactive])
     return {
         "multipliers": mult,
         "alignment_residual": align,
-        "inactive_dual_bound": dual_bound,
+        "inactive_dual_bound": float(np.max(price, initial=0.0)),
         "normal_multiplier_min": normal_min,
     }

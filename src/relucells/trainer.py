@@ -12,8 +12,8 @@ Two drivers over the width-m network f(x) = (1/m) sum_j c_j relu(a_j.x + b_j):
     over neurons) is tracked along the trace.
 
 Hinges use derivative 0 exactly at zero preactivation, so neurons sitting
-exactly on a hinge stay frozen; the Lambda/grad_phi_sq indicator uses the
-closed (>=) convention instead, matching the closed-cell geometry.
+exactly on a hinge stay frozen; the Lambda/grad_phi_sq indicator does the
+same, up to a roundoff band of 1e-9 ||(a, b)|| (see second_moments).
 """
 
 from __future__ import annotations
@@ -101,7 +101,9 @@ def grad_phi_sq(neuron: Neuron, x) -> float:
     """Squared parameter-gradient norm of the neuron output at one input.
 
     |grad_{(a,b,c)} c relu(a.x + b)|^2
-        = c^2 (1 + |x|^2) 1[a.x + b >= 0] + relu(a.x + b)^2.
+        = c^2 (1 + |x|^2) 1[a.x + b > 0] + relu(a.x + b)^2,
+
+    with relu'(0) = 0 (see second_moments).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     R, S = second_moments(x, neuron.a[None, :], neuron.b)

@@ -301,6 +301,41 @@ def weak_duality_bound(
     return float(np.asarray(targets) @ mult) / peak
 
 
+def cone_price_grid(q, Q, kappa, inward, m: int = 100_000) -> float:
+    """max of <q, v> / (kappa sqrt(v^T Q v)) over unit v with inward @ v >= 0,
+    for k = 2 or 3, on a dense grid: the circle (k = 2), or a Fibonacci
+    sphere, a great circle on every wall and the edge rays of every pair of
+    walls (k = 3), so that a maximum on a wall or an edge is sampled along
+    it. A direction where the gauge vanishes (below 1e-7 of its scale,
+    which roundoff in Q reaches on a wall) and <q, v> > 0 gives inf; 0 when
+    no direction gives a positive ratio.
+    """
+    k = len(q)
+    if k == 2:
+        t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+        walls = np.stack([-inward[:, 1], inward[:, 0]], axis=1)
+        V = np.vstack([np.stack([np.cos(t), np.sin(t)], axis=1), walls, -walls])
+    else:
+        parts = [fibonacci_sphere(m)]
+        t = np.linspace(0.0, 2.0 * np.pi, m // 5, endpoint=False)
+        for nrm in inward:
+            basis = np.linalg.svd(nrm[None, :])[2][1:]  # two unit vectors _|_ nrm
+            parts.append(np.cos(t)[:, None] * basis[0] + np.sin(t)[:, None] * basis[1])
+        for a, b in combinations(range(len(inward)), 2):
+            edge = np.cross(inward[a], inward[b])
+            if np.linalg.norm(edge) > 1e-12:
+                edge /= np.linalg.norm(edge)
+                parts.append(np.stack([edge, -edge]))
+        V = np.vstack(parts)
+    V = V[np.all(V @ inward.T >= -1e-12, axis=1)]
+    num = V @ q
+    g = kappa * np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", V, Q, V), 0.0))
+    ok = g > 1e-7 * kappa * np.sqrt(np.max(np.abs(Q)))
+    if np.any(~ok & (num > 1e-7 * np.linalg.norm(q))):
+        return float("inf")
+    return max(0.0, float(np.max(num[ok] / g[ok], initial=0.0)))
+
+
 def dykstra_reference(W, signs, normals, tol, max_cycles):
     """Projection of each row of W onto {v : signs_i <v, n_i> >= 0} by
     Dykstra's cyclic half-space projections, stopped when a cycle moves no

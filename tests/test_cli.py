@@ -8,6 +8,7 @@ from relucells import _simplex
 from relucells.arrangement import enumerate_cells
 from relucells.cli import main
 from relucells.model import Dataset, save_dataset_csv
+from relucells.potentials import PotentialKind, weight
 
 
 @pytest.fixture
@@ -33,13 +34,19 @@ def test_cells_command(tmp_path, ds_csv, ds3, capsys, monkeypatch):
     assert "cells: 6" in capsys.readouterr().out
 
 
-def test_solve_command_writes_artifacts(tmp_path, ds_csv):
+def test_solve_command_writes_artifacts(tmp_path, ds_csv, capsys):
     out = tmp_path / "out"
     rc = main(["solve", str(ds_csv), "--out", str(out),
                "--lp-from-solution"])
     assert rc == 0
     report = json.loads((out / "solve_report.json").read_text())
     assert report["converged"] is True
+    assert report["stop_reason"] == "certified"
+    assert report["finish_attempts"] >= 1
+    diagnostics = json.loads((out / "solution.json").read_text())["diagnostics"]
+    assert diagnostics["stop_reason"] == "certified"
+    assert diagnostics["finish_attempts"] == report["finish_attempts"]
+    assert "stop certified" in capsys.readouterr().out
     assert report["lp_support_ok"] is True
     assert report["lp_objective"] == pytest.approx(
         report["objective"], rel=1e-5
@@ -47,6 +54,22 @@ def test_solve_command_writes_artifacts(tmp_path, ds_csv):
     rows = (out / "radon.csv").read_text().strip().splitlines()
     assert rows[0] == "dir0,dir1,mass"
     assert len(rows) == report["atoms"] + 1
+
+
+def test_label_noise_exact_measure_costs_the_objective(tmp_path, ds_csv, ds3):
+    # one atom rests on the wall of point 0 (pre = +-roundoff): the weight
+    # counted that point, the cell gauge did not (3.1895416 against 2.9269742)
+    out = tmp_path / "out"
+    rc = main(["solve", str(ds_csv), "--potential", "label-noise-exact",
+               "--out", str(out), "--lp-from-solution"])
+    assert rc == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["objective"] == pytest.approx(2.9269742, rel=1e-7)
+    assert report["lp_objective"] == pytest.approx(report["objective"], rel=1e-6)
+    rows = np.atleast_2d(np.loadtxt(out / "radon.csv", delimiter=",", skiprows=1))
+    kind = PotentialKind.label_noise_exact(ds3)
+    cost = float(np.sum(np.abs(rows[:, -1]) * weight(kind, rows[:, :-1])))
+    assert cost == pytest.approx(report["objective"], rel=1e-6)
 
 
 def test_solve_infeasible_exit_code(tmp_path):

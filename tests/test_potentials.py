@@ -13,6 +13,7 @@ from relucells.potentials import (
     cell_gauge,
     potential,
     rescale_minimize,
+    second_moments,
     weight,
 )
 from relucells.trainer import implicit_lambda
@@ -49,6 +50,20 @@ def test_batched_weight_matches_single(n, d):
         assert batch.shape == (25,)
         single = np.array([weight(kind, th) for th in thetas])
         np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+
+
+def test_a_point_on_the_hinge_is_not_counted():
+    # relu'(0) = 0, as in the cell gauges: a wall atom has pre = +-roundoff
+    ds = Dataset(np.array([[-1.0], [0.2], [1.1]]), np.array([0.0, 0.0, 0.0]))
+    exact = PotentialKind.label_noise_exact(ds)
+    for pre0 in (-1e-15, 0.0, 1e-15):
+        theta = np.array([1.0, 1.0 + pre0])  # pre on point 0 is pre0
+        R, S = second_moments(ds.points, theta[None, :1], theta[1:])
+        assert S[0, 0] == 0.0 and S[1, 0] > 0.0 and S[2, 0] > 0.0
+        A = np.mean(R)
+        assert weight(exact, theta) == pytest.approx(2.0 * np.sqrt(A * np.mean(S)))
+        assert weight(exact, theta) == pytest.approx(
+            2.0 * np.sqrt(A * (2.0 + 0.2**2 + 1.1**2) / 3.0), rel=1e-12)
 
 
 def test_potential_values():

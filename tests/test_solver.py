@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_generic_dataset
 from oracles import (
+    cone_price_grid,
     dr_reference,
     dykstra_reference,
     exhaustive_support_objective,
@@ -16,14 +17,17 @@ from relucells.arrangement import enumerate_cells
 from relucells.errors import InfeasibleError, PreconditionError
 from relucells.model import DIRECTION_MERGE_TOL, Dataset, angle, predict_radon
 from relucells.potentials import CellGauge, PotentialKind
+from relucells import solver
 from relucells.solver import (
     LPInstance,
     _bisect_root,
     _GaugeProx,
+    _live_blocks,
     _secular_root,
     SolverConfig,
     build_program,
     cone_faces,
+    cone_price,
     cone_violation,
     extract_radon,
     lp_l1,
@@ -48,6 +52,12 @@ PLANE = {
         np.array([-0.5369532353602852, 0.5811181041963531, 0.36457239618607573]),
     ),
 }
+
+
+@pytest.fixture
+def dr_only(monkeypatch):
+    """The Douglas-Rachford loop alone: every finishing attempt declines."""
+    monkeypatch.setattr("relucells.solver._finish", lambda *args: None)
 
 
 def _certified(prog, sol):
@@ -116,11 +126,12 @@ def test_extracted_measure_interpolates(ds3, dec3):
     )
 
 
-@pytest.mark.parametrize("data, atoms", [("ds3", 3), ("plane5", 2)])
+@pytest.mark.parametrize("data, atoms", [("ds3", 3), ("plane5", 2), ("plane1", 2)])
 def test_extracted_wall_rays_appear_once(data, atoms, ds3):
     # on these datasets both cells next to a wall hold its ray, the two
-    # copies about 5e-16 rad apart
-    ds = ds3 if data == "ds3" else Dataset(*PLANE[5])
+    # copies about 5e-16 rad apart; on PLANE[1] Douglas-Rachford alone left
+    # them 9.6e-10 rad apart (3 atoms), and the finish puts both on the wall
+    ds = {"ds3": ds3, "plane5": Dataset(*PLANE[5]), "plane1": Dataset(*PLANE[1])}[data]
     prog = build_program(ds, enumerate_cells(ds), PotentialKind.tv())
     sol = solve(prog)
     nu = extract_radon(prog, sol)
@@ -301,11 +312,11 @@ def test_lp_l1_reproduces_solver_objective(ds3, dec3):
 @pytest.mark.parametrize("flag", ["tv", "label-noise"])
 @pytest.mark.parametrize("seed", [5, 1])
 def test_plane_lp_l1_reproduces_solver_objective(seed, flag):
-    # two extracted columns are nearly equal: on 1/tv a wall ray is still
-    # split, its copies 9.6e-10 rad apart (above DIRECTION_MERGE_TOL), and
-    # on 5/label-noise two directions give identical weight-normalized
-    # columns. The exact-equality LP took a costly vertex on both (3.42
-    # against 1.398, and 6.22 against 0.986)
+    # two extracted columns were nearly equal: on 1/tv Douglas-Rachford
+    # alone split a wall ray, its copies 9.6e-10 rad apart (above
+    # DIRECTION_MERGE_TOL), and on 5/label-noise two directions give
+    # identical weight-normalized columns. The exact-equality LP took a
+    # costly vertex on both (3.42 against 1.398, and 6.22 against 0.986)
     ds = Dataset(*PLANE[seed])
     kind = PotentialKind.from_flag(flag, ds)
     prog = build_program(ds, enumerate_cells(ds), kind)
@@ -480,7 +491,7 @@ def test_plane_penalized_tv_solve_is_certified(seed):
     ("tv", False, 0.02),
     ("label-noise", False, 0.02),
 ])
-def test_solve_keeps_the_three_vector_iterates(ds3, potential, plane, lam):
+def test_solve_keeps_the_three_vector_iterates(ds3, potential, plane, lam, dr_only):
     # the one-matmul relaxation step, the stacked cone operator and the
     # warm-started Newton move only roundoff
     ds = Dataset(*PLANE[5]) if plane else ds3
@@ -493,7 +504,7 @@ def test_solve_keeps_the_three_vector_iterates(ds3, potential, plane, lam):
     assert sol.objective == pytest.approx(objective, rel=1e-12)
 
 
-def test_solve_calls_project_cones_once_per_iteration(monkeypatch, ds3, dec3):
+def test_solve_calls_project_cones_once_per_iteration(monkeypatch, ds3, dec3, dr_only):
     # the benchmark's tracing counts cone steps by wrapping this module name
     calls = []
 
@@ -506,7 +517,7 @@ def test_solve_calls_project_cones_once_per_iteration(monkeypatch, ds3, dec3):
     assert len(calls) == sol.iterations
 
 
-def test_solution_reports_why_it_stopped(monkeypatch, ds3, dec3):
+def test_solution_reports_why_it_stopped(monkeypatch, ds3, dec3, dr_only):
     steps = []
 
     def counted(num, tl, start=0.0):
@@ -530,3 +541,104 @@ def test_solution_reports_why_it_stopped(monkeypatch, ds3, dec3):
             assert payload["stop_reason"] == reason
             assert payload["newton_steps"] == sum(steps)
         assert sol.iterations == 25
+
+
+FINISHED = [
+    ("ds3", "tv", 0.0),
+    ("ds3", "label-noise", 0.0),
+    ("plane5", "tv", 0.0),
+    ("plane1", "tv", 0.0),
+    ("plane5", "label-noise", 0.0),
+    ("ds3", "tv", 0.02),
+    ("ds3", "label-noise", 0.02),
+    ("plane5", "tv", 0.02),
+]
+
+
+def _program(ds3, data, potential, lam):
+    ds = {"ds3": ds3, "plane5": Dataset(*PLANE[5]), "plane1": Dataset(*PLANE[1])}[data]
+    return build_program(ds, enumerate_cells(ds), PotentialKind.from_flag(potential, ds),
+                         mode="penalized" if lam else "constrained", lam=lam)
+
+
+@pytest.mark.parametrize("data, potential, lam", FINISHED)
+def test_finish_certifies_the_dr_optimum(ds3, data, potential, lam):
+    prog = _program(ds3, data, potential, lam)
+    sol = solve(prog)
+    iterations, objective = dr_reference(prog)
+    assert sol.diagnostics["stop_reason"] == "certified" and sol.converged
+    assert 1 <= sol.diagnostics["finish_attempts"]
+    assert sol.iterations <= iterations
+    assert sol.objective == pytest.approx(objective, rel=1e-7)
+    cert = _certified(prog, sol)
+    assert cert["alignment_residual"] <= 1e-12
+    assert cert["inactive_dual_bound"] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("data, potential", [("plane1", "tv"), ("ds3", "label-noise")])
+def test_declined_attempt_leaves_the_iterates_unchanged(monkeypatch, ds3, data, potential):
+    # every attempt runs the real finish on the live iterate and then
+    # declines; the solve must equal the loop whose attempts do nothing
+    prog = _program(ds3, data, potential, 0.0)
+    real, seen = solver._finish, []
+
+    def declined(program, prox_g, x, objective):
+        seen.append(x.copy())
+        real(program, prox_g, x, objective)
+        return None
+
+    monkeypatch.setattr("relucells.solver._finish", declined)
+    sol = solve(prog)
+    tried, seen = seen, []
+    monkeypatch.setattr("relucells.solver._finish",
+                        lambda program, prox_g, x, objective: seen.append(x.copy()))
+    ref = solve(prog)
+    assert sol.iterations == ref.iterations
+    assert sol.diagnostics["stop_reason"] == ref.diagnostics["stop_reason"] == "converged"
+    assert sol.objective == ref.objective
+    assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.v, ref.v)
+    assert len(tried) == len(seen) == sol.diagnostics["finish_attempts"]
+    assert all(np.array_equal(a, b) for a, b in zip(tried, seen))
+
+
+@pytest.mark.parametrize("data, potential", [
+    ("ds3", "tv"), ("ds3", "label-noise"), ("ds3", "label-noise-exact"),
+    ("plane5", "tv"), ("plane5", "label-noise"), ("plane1", "label-noise-exact"),
+])
+def test_cone_price_matches_a_dense_grid(ds3, data, potential):
+    # random multipliers, so that the sup lies inside cones, on walls and
+    # on edges; the grid is a lower bound that samples walls and edges, up
+    # to the roundoff of v^T Q v next to a wall where the gauge vanishes
+    # (a few 1e-9 relative)
+    prog = _program(ds3, data, potential, 0.0)
+    rng = np.random.default_rng(7)
+    blocks = np.arange(prog.n_blocks)
+    K = len(prog.cells_used)
+    for _ in range(3):
+        mult = rng.normal(size=prog.dataset.n)
+        Q = (mult @ prog.A).reshape(prog.n_blocks, prog.k)
+        price = cone_price(prog, blocks, Q)
+        for b in blocks:
+            g = prog.gauges[b % K]
+            grid = cone_price_grid(Q[b], g.Q, g.kappa,
+                                   prog.signs[b][:, None] * prog.normals)
+            assert grid <= price[b] * (1.0 + 1e-8) + 1e-9
+            assert price[b] == pytest.approx(grid, rel=2e-5, abs=1e-9)
+
+
+def test_certificate_prices_quadratic_gauges_exactly():
+    # the TV maximiser (the projection of q onto the cone) gave 0.806 here,
+    # where the label-noise dual gauge peaks at 0.8174
+    ds = Dataset(*PLANE[5])
+    prog = build_program(ds, enumerate_cells(ds), PotentialKind.label_noise_exact(ds))
+    sol = solve(prog)
+    cert = optimality_certificate(prog, sol)
+    K = len(prog.cells_used)
+    W = np.vstack([sol.u, sol.v])
+    live = _live_blocks(prog, W, 1e-6 * max(1.0, sol.objective))
+    Q = (cert["multipliers"] @ prog.A).reshape(prog.n_blocks, prog.k)
+    grid = max(cone_price_grid(Q[b], prog.gauges[b % K].Q, prog.gauges[b % K].kappa,
+                               prog.signs[b][:, None] * prog.normals)
+               for b in np.flatnonzero(~live))
+    assert grid <= cert["inactive_dual_bound"] * (1.0 + 1e-8)
+    assert cert["inactive_dual_bound"] == pytest.approx(grid, rel=2e-5)

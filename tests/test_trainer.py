@@ -27,8 +27,8 @@ def test_grad_phi_sq_hand_values():
     assert grad_phi_sq(nrn, 1.0) == pytest.approx(27.0)
     # x = -1: pre = -1 inactive -> 0
     assert grad_phi_sq(nrn, -1.0) == pytest.approx(0.0)
-    # hinge x = -0.5: pre = 0, indicator closed at 0 -> 9 * 1.25
-    assert grad_phi_sq(nrn, -0.5) == pytest.approx(9.0 * 1.25)
+    # hinge x = -0.5: pre = 0, relu'(0) = 0 -> 0
+    assert grad_phi_sq(nrn, -0.5) == 0.0
 
 
 def test_grad_phi_sq_finite_difference():

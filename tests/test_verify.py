@@ -89,3 +89,25 @@ def test_shared_check_fails_under_a_fault(monkeypatch, name, fault):
     fault(monkeypatch)
     ok, detail = check(np.random.default_rng(0), True)
     assert not ok
+
+
+@pytest.mark.parametrize("seed", [9, 13, 16])
+def test_solver_lp_roundtrip_certifies_the_former_tail_seeds(monkeypatch, seed):
+    # Douglas-Rachford alone ran one quick-scale solve of each of these
+    # seeds to max_iters (300 000) unconverged; the finish certifies them
+    # at 102 400, 25 600 and 102 400 iterations. Quick seed 11 still ends
+    # at max_iters.
+    reasons = []
+    real = verify.solve
+
+    def solve(program):
+        sol = real(program)
+        reasons.append(sol.diagnostics["stop_reason"])
+        return sol
+
+    monkeypatch.setattr(verify, "solve", solve)
+    names = [name for name, _ in verify.CHECKS]
+    ss = np.random.SeedSequence(seed).spawn(len(names))[names.index("solver_lp_roundtrip")]
+    ok, detail = verify.check_solver_lp(np.random.Generator(np.random.Philox(ss)), True)
+    assert ok, detail
+    assert reasons == ["certified"] * 4
