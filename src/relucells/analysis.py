@@ -198,19 +198,17 @@ def merge_cell_mass(mu: AtomicMeasure, decomp: CellDecomposition) -> AtomicMeasu
     )
 
 
-def one_point_per_cell(
-    support: EffectiveSupport, include_boundary: bool = False
-) -> list[int]:
+def one_point_per_cell(support: EffectiveSupport) -> list[int]:
     """Cells carrying two or more rays; empty list certifies sparsity.
 
     Rays on cell walls are shared by adjacent closed cells, so the +1
     attribution of a wall ray must not produce a spurious violation; such
-    groups are skipped unless include_boundary is set. They remain visible
-    through the group table and the boundary_atoms field.
+    groups are skipped. They remain visible through the group table and the
+    boundary_atoms field.
     """
     counts: dict[int, int] = {}
     for g in support.groups:
-        if g.boundary and not include_boundary:
+        if g.boundary:
             continue
         counts[g.cell_index] = counts.get(g.cell_index, 0) + 1
     return sorted(ci for ci, cnt in counts.items() if cnt >= 2)
@@ -259,13 +257,9 @@ def compare_supports(s1: EffectiveSupport, s2: EffectiveSupport) -> dict:
     }
 
 
-def representer_check(obj, n: int) -> bool:
+def representer_check(support: EffectiveSupport, n: int) -> bool:
     """True iff the effective atom count is at most n."""
-    if isinstance(obj, EffectiveSupport):
-        return obj.count <= n
-    z = np.asarray(obj, dtype=float).ravel()
-    scale = max(1.0, float(np.max(np.abs(z)))) if z.size else 1.0
-    return int(np.sum(np.abs(z) > 1e-9 * scale)) <= n
+    return support.count <= n
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Subcommands: cells, solve, train, analyze, compare, verify. Every command
-is a pure function of (config, seed, input files); options may come from a
-JSON config file (--config) with individual flags taking precedence.
+is a pure function of its options and input files; train and verify also
+take a --seed. Options may come from a JSON config file (--config) with
+individual flags taking precedence.
 Exit codes: 0 ok, 1 invalid input, 2 infeasible, 3 non-convergence,
 4 property failure.
 """
@@ -42,7 +43,6 @@ from .model import RadonMeasure, load_dataset_csv
 from .potentials import PotentialKind
 from .solver import (
     LPInstance,
-    SolverConfig,
     build_program,
     extract_radon,
     lp_l1,
@@ -152,9 +152,8 @@ def cmd_solve(args) -> int:
     dec = enumerate_cells(ds)
     lam = args.lam if args.mode == "penalized" else 0.0
     prog = build_program(ds, dec, kind, mode=args.mode, lam=lam)
-    cfg = SolverConfig(seed=args.seed)
     t0 = time.perf_counter()
-    sol = solve(prog, cfg)
+    sol = solve(prog)
     elapsed = time.perf_counter() - t0
     nu = extract_radon(prog, sol)
     cert = optimality_certificate(prog, sol)
@@ -164,9 +163,7 @@ def cmd_solve(args) -> int:
     report = {
         "version": __version__,
         "config_hash": _config_hash(
-            {"potential": args.potential, "mode": args.mode, "lambda": lam,
-             "seed": args.seed},
-            ds,
+            {"potential": args.potential, "mode": args.mode, "lambda": lam}, ds,
         ),
         "objective": sol.objective,
         "primal_residual": sol.primal_residual,
@@ -292,12 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
-        if dataset:
-            p.add_argument("dataset", help="dataset CSV (x1,...,xd,y)")
+    def common(p):
+        p.add_argument("dataset", help="dataset CSV (x1,...,xd,y)")
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("cells", help="enumerate the cell decomposition")
     common(p)
@@ -317,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run particle training")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algo", default="gd", choices=["gd", "label-noise"])
     p.add_argument("--width", type=int, default=50)
     p.add_argument("--steps", type=int, default=10_000)
@@ -364,7 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args, args.parser)
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise PreconditionError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except InfeasibleError as exc:

@@ -17,8 +17,7 @@ prox / data step / cone projection). The data step w - A^T (A A^T + c I)^+
 it is the exact prox of (STEP / lam) h, h = ||A x - y||^2 / (2 n), so the
 loop minimises g + h / lam, whose minimisers are those of lam g + h.
 The gauge prox solves one secular equation per block by Newton's method,
-started from the previous iteration's roots, with bisection as the
-fallback.
+started from the previous iteration's roots.
 The cone projection is exact in every dimension: the projection onto a
 polyhedral cone is the orthogonal projection onto the span of one of its
 faces, so it is the nearest in-cone point among the projections onto the
@@ -56,7 +55,7 @@ import numpy as np
 
 from . import _simplex
 from .arrangement import CellDecomposition
-from .errors import InfeasibleError, PreconditionError
+from .errors import InfeasibleError, NumericalError, PreconditionError
 from .model import Dataset, RadonMeasure, merge_identical_rays, relu
 from .potentials import PotentialKind, cell_gauge, weight
 
@@ -177,12 +176,13 @@ class Solution:
 
 
 class _GaugeProx:
-    """Vectorized prox of the per-block gauges g_b(x) = kappa_b sqrt(x^T Q_b x).
+    """Vectorized prox of the per-block gauges g_b(x) = kappa_b sqrt(x^T Q_b x)
+    with the splitting's step STEP.
 
-    In the eigenbasis of Q_b the prox with step t scales component j by
-    rho / (rho + t kappa_b lam_j), where rho solves the secular equation
-    sum_j lam_j xi_j^2 / (rho + t kappa_b lam_j)^2 = 1 (Newton, with a
-    bisection fallback; see _secular_root), and keeps null-space components.
+    In the eigenbasis of Q_b the prox scales component j by
+    rho / (rho + tau_b lam_j), tau_b = STEP kappa_b, where rho solves the
+    secular equation sum_j lam_j xi_j^2 / (rho + tau_b lam_j)^2 = 1 (see
+    _secular_root), and keeps null-space components.
     A row whose equation has no positive root shrinks onto the null space.
     Each call starts Newton from the previous call's roots, and
     newton_steps counts the steps taken over all calls.
@@ -192,12 +192,12 @@ class _GaugeProx:
     def __init__(self, gauges):
         blocks = list(gauges) * 2  # u blocks then v blocks share gauges
         self.kappa = np.array([g.kappa for g in blocks])
+        self.tau = STEP * self.kappa
         self.identity = all(
             g.kappa == 1.0 and np.allclose(g.Q, np.eye(g.Q.shape[0])) for g in blocks
         )
         self.newton_steps = 0
-        self.t = None
-        self.ones = np.ones(blocks[0].Q.shape[0]) if blocks else None
+        self.ones = np.ones(blocks[0].Q.shape[0])
         if not self.identity:
             evals, evecs = [], []
             for g in blocks:
@@ -207,6 +207,13 @@ class _GaugeProx:
             self.evals = np.array(evals)  # (B, k)
             self.evecs = np.array(evecs)  # (B, k, k), columns are eigenvectors
             self.rho = np.zeros(len(blocks))  # the last call's roots
+            pos = self.evals > 0.0
+            # zero eigenvalues carry no term: give them a unit denominator
+            self.tl = np.where(pos, self.tau[:, None] * self.evals, 1.0)
+            # components the prox scales; the others (tau = 0 or lam_j = 0) stay
+            self.scaled = pos & (self.tau[:, None] > 0.0)
+            with np.errstate(divide="ignore"):
+                self.inv_tl2 = np.where(self.scaled, 1.0 / self.tl**2, 0.0)
 
     def value(self, W: np.ndarray) -> float:
         if self.identity:
@@ -214,23 +221,7 @@ class _GaugeProx:
         xi = np.einsum("bkj,bk->bj", self.evecs, W)
         return float(np.sum(self.kappa * np.sqrt(np.sum(self.evals * xi**2, axis=1))))
 
-    def _set_step(self, t: float) -> None:
-        """The parts of the prox that depend on the step t only."""
-        self.t = t
-        self.tau = t * self.kappa
-        if self.identity:
-            return
-        pos = self.evals > 0.0
-        # zero eigenvalues carry no term: give them a unit denominator
-        self.tl = np.where(pos, self.tau[:, None] * self.evals, 1.0)
-        # components the prox scales; the others (tau = 0 or lam_j = 0) stay
-        self.scaled = pos & (self.tau[:, None] > 0.0)
-        with np.errstate(divide="ignore"):
-            self.inv_tl2 = np.where(self.scaled, 1.0 / self.tl**2, 0.0)
-
-    def prox(self, W: np.ndarray, t: float) -> np.ndarray:
-        if t != self.t:
-            self._set_step(t)
+    def prox(self, W: np.ndarray) -> np.ndarray:
         if self.identity:
             r = np.sqrt((W * W) @ self.ones)
             return W * np.maximum(0.0, 1.0 - self.tau / np.maximum(r, 1e-300))[:, None]
@@ -265,8 +256,8 @@ def _secular_root(
     is kept no lower than L. From a point where h <= 0 every later step
     rises to the root with no overshoot. Started at the root of a nearby
     equation (the previous call's rho), Newton needs fewer steps than from
-    L. Rows whose rho still moves by more than an ulp after 30 steps fall
-    back to bisection.
+    L. A row whose rho still moves by more than an ulp after 30 steps
+    raises NumericalError.
     """
     ones = np.ones(num.shape[1])
     floor = np.maximum(np.maximum.reduce(np.sqrt(num) - tl, axis=1), 0.0)
@@ -281,21 +272,9 @@ def _secular_root(
         rho = floor = new
         if settled.all():
             return rho, steps
-    rho[~settled] = _bisect_root(num[~settled], tl[~settled])
-    return rho, steps
-
-
-def _bisect_root(num: np.ndarray, tl: np.ndarray) -> np.ndarray:
-    """The root of _secular_root by 70 bisection steps on [0, sqrt(sum num)],
-    where phi <= 1."""
-    lo = np.zeros(len(num))
-    hi = np.sqrt(np.sum(num, axis=1))
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        right = np.sum(num / (mid[:, None] + tl) ** 2, axis=1) > 1.0
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    return 0.5 * (lo + hi)
+    raise NumericalError(
+        f"secular root of {int(np.sum(~settled))} rows still moving after 30 Newton steps"
+    )
 
 
 def cone_faces(
@@ -386,19 +365,6 @@ def _split(program: FiniteProgram, w: np.ndarray) -> np.ndarray:
     return w.reshape(program.n_blocks, program.k)
 
 
-def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solution:
-    """Solve the finite program by operator splitting (see _solve)."""
-    config = config or SolverConfig()
-    if program.n_blocks == 0:
-        # no cell sees any datapoint; only y = 0 is representable
-        if np.max(np.abs(program.y)) > TOL_FEAS:
-            raise InfeasibleError("no active cells but nonzero targets")
-        z = np.zeros((0, program.k))
-        return Solution(z, z, (), 0.0, 0.0, 0, True, program.mode, program.lam,
-                        {"stop_reason": "converged", "finish_attempts": 0})
-    return _solve(program, config)
-
-
 def _initial(program: FiniteProgram, config: SolverConfig) -> np.ndarray:
     dim = program.A.shape[1]
     if config.init_scale <= 0.0:
@@ -417,9 +383,9 @@ def _objective_settled(obj_hist: list[float]) -> bool:
     return abs(obj_hist[-1] - ref) <= TOL_OBJ * max(1.0, abs(ref))
 
 
-def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
-    """Relaxed product-space Douglas-Rachford on the gauges g, the data
-    term and the cone indicators, in both modes.
+def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solution:
+    """Solve the finite program by relaxed product-space Douglas-Rachford
+    on the gauges g, the data term and the cone indicators, in both modes.
 
     Constrained, the data term is the indicator of {A x = y}, whose prox is
     the affine projection w - M (A w - y) with M = A^T (A A^T)^+. Penalized,
@@ -439,6 +405,7 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
     with a fixed 3 x 6 matrix. The cone step calls project_cones through
     the module, once per iteration.
     """
+    config = config or SolverConfig()
     A, y, lam = program.A, program.y, program.lam
     n = program.dataset.n
     penalized = program.mode == "penalized"
@@ -475,7 +442,7 @@ def _solve(program: FiniteProgram, config: SolverConfig) -> Solution:
     attempts = 0
     while it < config.max_iters:
         it += 1
-        X1[:] = prox_g.prox(Z1, STEP)
+        X1[:] = prox_g.prox(Z1)
         np.matmul(A, z2, out=fit_z2)
         fit_z2 -= y
         np.subtract(z2, M @ fit_z2, out=x2)
@@ -573,8 +540,6 @@ def _finish(
     n, K = program.dataset.n, len(program.cells_used)
     W = _split(program, x)
     live, inward, touched = _structure(program, x, objective)
-    if live.size == 0:
-        return None
     blocks = []  # (block, U_b, slice of z_b)
     m = 0
     for b in live:
@@ -582,7 +547,9 @@ def _finish(
         U = Vt[int(np.sum(sv > 1e-10)):].T
         blocks.append((b, U, slice(m, m + U.shape[1])))
         m += U.shape[1]
-    G = np.hstack([A[:, b * k : (b + 1) * k] @ U for b, U, _ in blocks])
+    # the zero-width first block lets G exist with no live block
+    G = np.hstack([np.zeros((n, 0))]
+                  + [A[:, b * k : (b + 1) * k] @ U for b, U, _ in blocks])
     ridge = n * program.lam if program.mode == "penalized" else 0.0
     J = np.zeros((m + n, m + n))
     J[:m, m:] = -G.T
@@ -795,7 +762,7 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
     k = program.k
     n = program.dataset.n
     K = len(program.cells_used)
-    W = np.vstack([solution.u, solution.v]) if K else np.zeros((0, k))
+    W = np.vstack([solution.u, solution.v])
 
     inward, touched = _touched_walls(program, W)
 

@@ -38,6 +38,10 @@ DIVERGENCE_FACTOR = 1e6
 # generator call; bounds memory for any record_stride, and any block size
 # gives the same stream.
 DRAW_BLOCK = 65_536
+# A trace reaches interpolation at the first of INTERP_PATIENCE consecutive
+# records whose loss is below INTERP_TOL.
+INTERP_TOL = 1e-4
+INTERP_PATIENCE = 100
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,6 @@ class TrainConfig:
     seed: int = 0
     init_scale: float = 1.0
     record_stride: int = 10
-    interp_tol: float = 1e-4  # loss level that counts as interpolation
-    interp_patience: int = 100  # consecutive records below tol
 
     def __post_init__(self):
         if self.width < 1 or self.steps < 1 or self.step_size <= 0:
@@ -66,8 +68,8 @@ class TrainConfig:
             )
         if self.noise_dist not in ("rademacher", "gaussian"):
             raise PreconditionError(f"unknown noise distribution {self.noise_dist!r}")
-        if self.record_stride < 1 or self.interp_patience < 1:
-            raise PreconditionError("record_stride >= 1, interp_patience >= 1")
+        if self.record_stride < 1:
+            raise PreconditionError("record_stride >= 1")
 
 
 @dataclass
@@ -243,18 +245,18 @@ def _record(trace_rows, step, net, dataset, loss, reg, grads):
                        time.perf_counter() - t0))
 
 
-def _finish_trace(trace_rows, config) -> TrainTrace:
+def _finish_trace(trace_rows) -> TrainTrace:
     arr = np.array(trace_rows, dtype=float)
     trace = TrainTrace(
         arr[:, 0].astype(int), arr[:, 1], arr[:, 2], arr[:, 3],
         arr[:, 4].astype(int), arr[:, 5],
         record_seconds=float(np.sum(arr[:, 6])),
     )
-    below = trace.loss < config.interp_tol
+    below = trace.loss < INTERP_TOL
     run = 0
     for i, flag in enumerate(below):
         run = run + 1 if flag else 0
-        if run >= config.interp_patience:
+        if run >= INTERP_PATIENCE:
             trace.interpolation_step = int(trace.steps[i - run + 1])
             break
     return trace
@@ -296,7 +298,7 @@ def gd_weight_decay(
         A -= ws.gA
         ws.gbc *= eps
         bc -= ws.gbc
-    return ParticleNetwork(A, *bc), _finish_trace(trace_rows, config)
+    return ParticleNetwork(A, *bc), _finish_trace(trace_rows)
 
 
 def _perturbed_labels(dataset: Dataset, config: TrainConfig, rng_sample,
@@ -371,7 +373,7 @@ def sgd_label_noise(
             multiply(t_col, x, out=tA)
             A -= tA
             bc -= ta
-    return ParticleNetwork(A, b, c), _finish_trace(trace_rows, config)
+    return ParticleNetwork(A, b, c), _finish_trace(trace_rows)
 
 
 def balancedness(net: ParticleNetwork, atom_eps: float = 0.0) -> float:

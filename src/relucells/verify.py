@@ -4,8 +4,8 @@ Each check re-derives its expectation independently (counting formulas,
 finite differences, grid searches, LP cross-checks) and returns
 (passed, detail). The suite runs at two scales: quick for smoke testing,
 full for release gating. At full scale, with their pinned seeds, the cell
-count, additivity, convexity, gradient and structure checks are
-acceptance criteria 01, 02, 03, 09 and 10. `inject_failure` perturbs the
+count, additivity, convexity, orbit, gradient and structure checks are
+acceptance criteria 01, 02, 03, 04, 09 and 10. `inject_failure` perturbs the
 ReLU additivity check and must flip it to a failure; it exists as a
 negative control so a silently vacuous suite cannot pass.
 """
@@ -34,7 +34,7 @@ from .model import (
     project_to_sphere,
     relu,
 )
-from .potentials import PotentialKind, rescale_minimize, weight
+from .potentials import PotentialKind, potential, rescale_minimize, weight
 from .solver import LPInstance, build_program, extract_radon, lp_l1, solve
 from .trainer import TrainConfig, gd_weight_decay, objective_and_grads, sgd_label_noise
 
@@ -158,7 +158,8 @@ def check_convexity(rng, quick: bool) -> tuple[bool, str]:
 
 def check_rescale_orbit(rng, quick: bool) -> tuple[bool, str]:
     """Closed-form orbit minimum of the raw implicit potential matches a
-    geometric grid search."""
+    geometric grid search. The detail gives the range of the ratio of that
+    exact orbit minimum to the simplified label-noise weight."""
     cases = 100 if quick else 1_000
     npts = 2_000 if quick else 10_000
     coarse = np.geomspace(1e-3, 1e3, npts // 10)
@@ -172,11 +173,15 @@ def check_rescale_orbit(rng, quick: bool) -> tuple[bool, str]:
         ) ** 2 * np.mean(sq * (pre >= 0.0), axis=1)
         return float(np.min(vals)), float(grid[int(np.argmin(vals))])
 
+    factors = []
     for _ in range(cases):
         n = int(rng.integers(2, 6))
         ds = Dataset(rng.normal(size=(n, 1)), rng.normal(size=n))
         nrn = Neuron(rng.normal(size=1), rng.normal(), rng.normal())
-        lam_star, val = rescale_minimize(nrn, ds)
+        _, val = rescale_minimize(nrn, ds)
+        simplified = potential(PotentialKind.label_noise(ds), nrn)
+        if simplified > 1e-9:
+            factors.append(val / simplified)
         # two-stage grid: coarse bracket then dense local refinement
         cval, t0 = grid_min(nrn, ds, coarse)
         fval, _ = grid_min(
@@ -189,7 +194,9 @@ def check_rescale_orbit(rng, quick: bool) -> tuple[bool, str]:
             continue
         if abs(val - grid_val) > 1e-6 * max(1.0, grid_val):
             return False, f"closed form {val} vs grid {grid_val}"
-    return True, f"{cases} neurons"
+    return True, (f"{cases} neurons, exact/simplified weight factor "
+                  f"min {min(factors, default=np.nan):.3f} "
+                  f"max {max(factors, default=np.nan):.3f}")
 
 
 def check_solver_lp(rng, quick: bool) -> tuple[bool, str]:

@@ -108,25 +108,6 @@ def exhaustive_support_objective(
     return best_obj
 
 
-def grid_orbit_minimum(a, b, c, points, npts: int = 10_000) -> float:
-    """Two-stage geometric grid search of the raw implicit potential over
-    the rescaling orbit (lam*a, lam*b, c/lam)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    sq = 1.0 + np.sum(points**2, axis=1)
-
-    def values(lams):
-        pre = lams[:, None] * (points @ np.atleast_1d(a) + b)
-        return np.mean(np.maximum(pre, 0.0) ** 2, axis=1) + (
-            c / lams
-        ) ** 2 * np.mean(sq * (pre >= 0.0), axis=1)
-
-    coarse = np.geomspace(1e-3, 1e3, npts // 10)
-    cv = values(coarse)
-    t0 = float(coarse[int(np.argmin(cv))])
-    fine = np.geomspace(t0 / 2.0, t0 * 2.0, npts - npts // 10)
-    return float(min(cv.min(), values(fine).min()))
-
-
 def gd_weight_decay_reference(dataset, config):
     """Weight-decay GD as a plain allocating loop, its gradient written out.
 
@@ -189,7 +170,7 @@ def gd_weight_decay_reference(dataset, config):
         A = A - eps * gA
         b = b - eps * gb
         c = c - eps * gc
-    return ParticleNetwork(A, b, c), _finish_trace(trace_rows, config)
+    return ParticleNetwork(A, b, c), _finish_trace(trace_rows)
 
 
 def sgd_label_noise_reference(dataset, config):
@@ -216,7 +197,6 @@ def sgd_label_noise_reference(dataset, config):
     noise_cfg = TrainConfig(
         width=config.width, steps=config.steps, step_size=config.step_size,
         seed=config.seed, record_stride=config.record_stride,
-        interp_tol=config.interp_tol, interp_patience=config.interp_patience,
     )  # decay stripped so recorded gradients are pure data gradients
     for step in range(config.steps + 1):
         net = ParticleNetwork(A, b, c)
@@ -247,7 +227,7 @@ def sgd_label_noise_reference(dataset, config):
         A = A - eps * coef * (mask * c)[:, None] * X[i]
         b = b - eps * coef * mask * c
         c = c - eps * coef * act
-    return net, _finish_trace(trace_rows, config)
+    return net, _finish_trace(trace_rows)
 
 
 def ray_premerge_reference(dirs, z, members, tol):
@@ -355,6 +335,23 @@ def dykstra_reference(W, signs, normals, tol, max_cycles):
         if np.max(np.abs(X - start)) <= tol * (1.0 + np.max(np.abs(X))):
             break
     return X
+
+
+def bisect_secular_root(num: np.ndarray, tl: np.ndarray) -> np.ndarray:
+    """The root rho of sum_j num_j / (rho + tl_j)^2 = 1 in each row with a
+    root (tl > 0 and the sum above 1 at rho = 0), by bisection on
+    [0, sqrt(sum_j num_j)], where the sum is at most 1, until no bracket
+    end moves (at most about 1 100 halvings in double precision)."""
+    lo = np.zeros(len(num))
+    hi = np.sqrt(np.sum(num, axis=1))
+    for _ in range(2_200):
+        mid = 0.5 * (lo + hi)
+        right = np.sum(num / (mid[:, None] + tl) ** 2, axis=1) > 1.0
+        new_lo, new_hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    return mid
 
 
 def gauge_prox_bisection_reference(Q, kappa, W, t):
@@ -620,8 +617,8 @@ def dr_reference(program):
     (iterations, objective).
     """
     from relucells.solver import (
-        CHECK_EVERY, RELAX, STEP, TOL_FEAS, SolverConfig, _bisect_root,
-        _objective_settled, cone_faces,
+        CHECK_EVERY, RELAX, STEP, TOL_FEAS, SolverConfig, _objective_settled,
+        cone_faces,
     )
 
     A, y, lam = program.A, program.y, program.lam
@@ -667,7 +664,7 @@ def dr_reference(program):
             if not unsettled.any():
                 break
         else:
-            root[unsettled] = _bisect_root(nm[unsettled], tn[unsettled])
+            root[unsettled] = bisect_secular_root(nm[unsettled], tn[unsettled])
         rho = np.zeros(B)
         rho[need] = root
         shrink = rho[:, None] / np.maximum(rho[:, None] + tl, 1e-300)

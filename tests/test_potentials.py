@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import random_generic_dataset
-from oracles import grid_orbit_minimum
 from relucells.errors import PreconditionError
 from relucells.arrangement import enumerate_cells
 from relucells.model import Dataset, Neuron, ParticleNetwork, rescale
@@ -17,6 +16,7 @@ from relucells.potentials import (
     weight,
 )
 from relucells.trainer import implicit_lambda
+from relucells.verify import check_rescale_orbit
 
 
 def _kinds(ds):
@@ -102,14 +102,9 @@ def test_rescale_minimize_inactive():
 
 
 def test_rescale_minimize_matches_grid():
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        n = int(rng.integers(2, 6))
-        ds = Dataset(rng.normal(size=(n, 1)), rng.normal(size=n))
-        nrn = Neuron(rng.normal(size=1), rng.normal(), rng.normal())
-        _, val = rescale_minimize(nrn, ds)
-        grid = grid_orbit_minimum(nrn.a, nrn.b, nrn.c, ds.points)
-        assert val == pytest.approx(grid, rel=1e-6, abs=1e-12)
+    # the grid search of `relucells verify` at quick scale: 100 neurons
+    ok, detail = check_rescale_orbit(np.random.default_rng(9), quick=True)
+    assert ok, detail
 
 
 def test_rescale_minimize_orbit_invariant():

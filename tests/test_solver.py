@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_generic_dataset
 from oracles import (
+    bisect_secular_root,
     cone_price_grid,
     dr_reference,
     dykstra_reference,
@@ -14,13 +15,13 @@ from oracles import (
     weak_duality_bound,
 )
 from relucells.arrangement import enumerate_cells
-from relucells.errors import InfeasibleError, PreconditionError
+from relucells.errors import InfeasibleError, NumericalError, PreconditionError
 from relucells.model import DIRECTION_MERGE_TOL, Dataset, angle, predict_radon
 from relucells.potentials import CellGauge, PotentialKind
 from relucells import solver
 from relucells.solver import (
     LPInstance,
-    _bisect_root,
+    STEP,
     _GaugeProx,
     _live_blocks,
     _secular_root,
@@ -100,6 +101,8 @@ def test_zero_targets_zero_objective(ds3, dec3):
     prog = build_program(ds0, dec3, PotentialKind.tv())
     sol = solve(prog)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
+    # the finish certifies the zero measure, which has no live block
+    assert sol.diagnostics["stop_reason"] == "certified"
 
 
 def test_solver_matches_oracle_small():
@@ -343,6 +346,9 @@ def test_solution_json_roundtrip(ds3, dec3):
 
 
 def test_gauge_prox_matches_bisection():
+    # the prox of the gauges kappa g with step t is the prox of the gauges
+    # t kappa g with step STEP = 1, so scaling kappa varies the step
+    assert STEP == 1.0
     rng = np.random.default_rng(8)
     rank_deficient = 0
     for n, d in [(3, 1), (6, 1), (3, 2), (5, 2), (5, 3)]:
@@ -353,10 +359,9 @@ def test_gauge_prox_matches_bisection():
             gauges = build_program(ds, dec, kind).gauges
             # one more block whose gauge vanishes (kappa = 0)
             gauges += (CellGauge(-1, gauges[0].Q, 0.0),)
-            prox = _GaugeProx(gauges)
             Q = np.array([g.Q for g in gauges] * 2)
             rank_deficient += int(np.sum(np.linalg.matrix_rank(Q) < d + 1))
-            tq = prox.kappa > 0.0
+            tq = np.array([g.kappa for g in gauges] * 2) > 0.0
             for trial in range(40):
                 t = 0.0 if trial == 0 else float(10.0 ** rng.uniform(-2, 1))
                 W = rng.normal(size=(len(Q), d + 1)) * 10.0 ** rng.uniform(
@@ -366,9 +371,11 @@ def test_gauge_prox_matches_bisection():
                 if trial == 2:  # small rows in the range of Q shrink to 0
                     t = 1.0
                     W = 1e-3 * np.einsum("bij,bj->bi", Q, W / np.max(np.abs(W)))
-                P = prox.prox(W, t)
+                prox = _GaugeProx([CellGauge(g.cell_index, g.Q, t * g.kappa)
+                                   for g in gauges])
+                P = prox.prox(W)
                 scale = np.max(np.abs(W))
-                ref = gauge_prox_bisection_reference(Q, prox.kappa, W, t)
+                ref = gauge_prox_bisection_reference(Q, prox.kappa, W, STEP)
                 assert np.max(np.abs(P - ref)) <= 1e-14 * scale
                 if trial == 2:
                     assert np.max(np.abs(P[tq])) <= 1e-14 * scale
@@ -379,7 +386,7 @@ def test_gauge_prox_matches_bisection():
                 gP = np.sqrt(np.maximum(np.einsum("bi,bij,bj->b", P, Q, P), 0.0))
                 on = tq & (gP > 1e-6 * scale)
                 grad = np.einsum("bij,bj->bi", Q[on], P[on]) / gP[on, None]
-                assert np.max(np.abs(W[on] - P[on] - t * prox.kappa[on, None] * grad),
+                assert np.max(np.abs(W[on] - P[on] - prox.kappa[on, None] * grad),
                               initial=0.0) <= 1e-10 * scale
     assert rank_deficient > 0
 
@@ -394,30 +401,39 @@ def _secular_rows():
     return num[has_root], tl[has_root]
 
 
-def test_bisection_fallback_finds_the_newton_root():
-    num, tl = _secular_rows()
-    assert _bisect_root(num, tl) == pytest.approx(_secular_root(num, tl)[0], rel=1e-12)
+def test_secular_root_settles_within_its_budget():
+    # num and tl over 1e-8 to 1e8, started at 0, at the root, below it and
+    # above it: Newton settles within 30 steps and matches bisection
+    rng = np.random.default_rng(20)
+    num = 10.0 ** rng.uniform(-8, 8, size=(40_000, 3))
+    num[::5, 0] = 0.0
+    tl = np.where(num > 0.0, 10.0 ** rng.uniform(-8, 8, size=(40_000, 3)), 1.0)
+    has_root = np.sum(num / tl**2, axis=1) > 1.0
+    num, tl = num[has_root][:20_000], tl[has_root][:20_000]
+    assert len(num) == 20_000
+    ref = bisect_secular_root(num, tl)
+    # rounding rho + tl_j fixes any root only to about an ulp of the scale
+    # 1 / sum_j q_j / (rho + tl_j), q_j = num_j / (rho + tl_j)^2, which is
+    # far above rho where rho + tl_j cancels (sqrt(num_j) close to tl_j)
+    scale = 1.0 / np.sum(num / (ref[:, None] + tl) ** 3, axis=1)
+    for start in (0.0, ref, 0.5 * ref, 3.0 * ref + 1.0):
+        rho, _ = _secular_root(num, tl, start)
+        assert np.max(np.abs(rho - ref) / scale) <= 1e-12
+    # a row that never settles raises instead of returning a guess
+    with pytest.raises(NumericalError):
+        _secular_root(np.array([[np.nan, 1.0]]), np.ones((1, 2)))
 
 
-def test_warm_started_secular_root_agrees_from_any_start(monkeypatch):
-    # only the first step may go down, and it lands at or below the root,
-    # so no start sends a row to the bisection fallback
+def test_warm_started_secular_root_agrees_from_any_start():
+    # only the first step may go down, and it lands at or below the root
     num, tl = _secular_rows()
-    ref = _bisect_root(num, tl)
+    ref = bisect_secular_root(num, tl)
     lower = np.maximum(np.max(np.sqrt(num) - tl, axis=1), 0.0)
-    fallbacks = []
-
-    def counted(num, tl):
-        fallbacks.append(len(num))
-        return _bisect_root(num, tl)
-
-    monkeypatch.setattr("relucells.solver._bisect_root", counted)
     cold_steps = _secular_root(num, tl)[1]
     for start in (10.0 * ref + 1.0, 1.5 * ref, ref, 0.0, 0.5 * lower, -1.0):
         rho, steps = _secular_root(num, tl, start)
         assert rho == pytest.approx(ref, rel=1e-12)
         assert steps <= cold_steps + 1
-    assert fallbacks == []
 
 
 def _label_noise_solve(ds):
@@ -437,7 +453,7 @@ def test_label_noise_solves_pin_the_bisection_prox(monkeypatch, ds3):
     monkeypatch.setattr(_GaugeProx, "__init__", init_keeping_q)
     monkeypatch.setattr(
         _GaugeProx, "prox",
-        lambda self, W, t: gauge_prox_bisection_reference(self.Q, self.kappa, W, t),
+        lambda self, W: gauge_prox_bisection_reference(self.Q, self.kappa, W, STEP),
     )
     for ds, sol in zip(datasets, shipped):
         ref = _label_noise_solve(ds)

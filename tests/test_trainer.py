@@ -144,8 +144,7 @@ def test_config_validation():
     with pytest.raises(PreconditionError):
         TrainConfig(noise_dist="cauchy")
     # a stride of 0 divided by zero; a negative one recorded every |stride|
-    for bad in (dict(record_stride=0), dict(record_stride=-3),
-                dict(interp_patience=0)):
+    for bad in (dict(record_stride=0), dict(record_stride=-3)):
         with pytest.raises(PreconditionError):
             TrainConfig(**bad)
 
@@ -251,14 +250,15 @@ def _assert_same_run(run, ref):
     ids=["norm-squared", "path-norm", "no-decay"],
 )
 @STRIDES
-def test_gd_matches_per_step_reference(ds3, d, decay, potential, steps,
-                                       stride):
+def test_gd_matches_per_step_reference(monkeypatch, ds3, d, decay, potential,
+                                       steps, stride):
     ds = ds3 if d == 1 else DS_2D
     # an odd width puts the rows of every stacked (2, m) array off 16 bytes;
     # the loose interpolation test sets interpolation_step in 6 of 18 cases
+    monkeypatch.setattr(trainer, "INTERP_TOL", 0.02)
+    monkeypatch.setattr(trainer, "INTERP_PATIENCE", 3)
     cfg = TrainConfig(width=13, steps=steps, step_size=1.0, decay=decay,
-                      decay_potential=potential, seed=3, record_stride=stride,
-                      interp_tol=0.02, interp_patience=3)
+                      decay_potential=potential, seed=3, record_stride=stride)
     _assert_same_run(gd_weight_decay(ds, cfg),
                      gd_weight_decay_reference(ds, cfg))
 
@@ -279,11 +279,11 @@ def test_sgd_matches_per_step_reference(monkeypatch, ds2, noise_dist, steps,
 
 def test_interpolation_step_flag(ds2):
     cfg = TrainConfig(width=64, steps=20_000, step_size=0.5, seed=0,
-                      record_stride=10, interp_tol=1e-4, interp_patience=5)
+                      record_stride=10)
     net, trace = gd_weight_decay(ds2, cfg)
     assert trace.interpolation_step is not None
     at = np.searchsorted(trace.steps, trace.interpolation_step)
-    assert np.all(trace.loss[at : at + 5] < 1e-4)
+    assert np.all(trace.loss[at : at + trainer.INTERP_PATIENCE] < trainer.INTERP_TOL)
 
 
 def test_trace_csv_roundtrip(tmp_path, ds2):

@@ -1,6 +1,6 @@
 """The shared property checks of `relucells.verify` can fail.
 
-Acceptance criteria 01, 02, 03, 09 and 10 are these checks at full scale,
+Acceptance criteria 01, 02, 03, 04, 09 and 10 are these checks at full scale,
 so each must turn to a failure under one targeted fault in the code it
 checks. Every fault is patched into the `verify` module's namespace and
 the check runs at quick scale, first clean and then faulted, on one seed.
@@ -47,6 +47,16 @@ def _non_convex_label_noise(monkeypatch):
     monkeypatch.setattr(verify, "weight", weight)
 
 
+def _orbit_minimum_off(monkeypatch):
+    real = verify.rescale_minimize
+
+    def rescale_minimize(nrn, ds):
+        lam, val = real(nrn, ds)
+        return lam, 1.001 * val
+
+    monkeypatch.setattr(verify, "rescale_minimize", rescale_minimize)
+
+
 def _one_gradient_sign_flipped(monkeypatch):
     real = verify.objective_and_grads
 
@@ -74,6 +84,7 @@ FAULTS = [
     ("cell_count", _witness_out_of_cell),
     ("relu_additivity", _squared_relu),
     ("midpoint_convexity", _non_convex_label_noise),
+    ("rescale_orbit", _orbit_minimum_off),
     ("gradient_fd", _one_gradient_sign_flipped),
     ("structure_preserving", _merge_drops_bias_moment),
 ]
