@@ -161,8 +161,7 @@ def check_rescale_orbit(rng, quick: bool) -> tuple[bool, str]:
     geometric grid search. The detail gives the range of the ratio of that
     exact orbit minimum to the simplified label-noise weight."""
     cases = 100 if quick else 1_000
-    npts = 2_000 if quick else 10_000
-    coarse = np.geomspace(1e-3, 1e3, npts // 10)
+    coarse = np.geomspace(1e-3, 1e3, 1_000)
 
     def grid_min(nrn, ds, grid):
         # direct evaluation of the raw potential at every orbit point
@@ -182,17 +181,16 @@ def check_rescale_orbit(rng, quick: bool) -> tuple[bool, str]:
         simplified = potential(PotentialKind.label_noise(ds), nrn)
         if simplified > 1e-9:
             factors.append(val / simplified)
-        # two-stage grid: coarse bracket then dense local refinement
+        # two-stage grid of 10 000 points: coarse bracket then dense local
+        # refinement
         cval, t0 = grid_min(nrn, ds, coarse)
-        fval, _ = grid_min(
-            nrn, ds, np.geomspace(t0 / 2, t0 * 2, npts - npts // 10)
-        )
+        fval, _ = grid_min(nrn, ds, np.geomspace(t0 / 2, t0 * 2, 9_000))
         grid_val = min(cval, fval)
         if val == 0.0:
             if grid_val > 1e-12:
                 return False, "zero closed form but positive grid minimum"
             continue
-        if abs(val - grid_val) > 1e-6 * max(1.0, grid_val):
+        if abs(val - grid_val) > 1e-6 * grid_val + 1e-12:
             return False, f"closed form {val} vs grid {grid_val}"
     return True, (f"{cases} neurons, exact/simplified weight factor "
                   f"min {min(factors, default=np.nan):.3f} "
