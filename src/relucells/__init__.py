@@ -43,7 +43,6 @@ from .solver import (
     FiniteProgram,
     LPInstance,
     Solution,
-    SolverConfig,
     build_program,
     extract_radon,
     lp_l1,
@@ -64,9 +63,9 @@ __all__ = [
     "AtomicMeasure", "Cell", "CellDecomposition", "ConvergenceError",
     "Dataset", "EffectiveSupport", "FiniteProgram", "InfeasibleError",
     "LPInstance", "Neuron", "ParticleNetwork", "PotentialKind",
-    "RadonMeasure", "ReluCellsError", "Solution", "SolverConfig",
-    "SparsityReport", "TrainConfig", "TrainTrace", "build_program",
-    "cell_gauge", "compare_supports", "effective_support", "enumerate_cells",
+    "RadonMeasure", "ReluCellsError", "Solution", "SparsityReport",
+    "TrainConfig", "TrainTrace", "build_program", "cell_gauge",
+    "compare_supports", "effective_support", "enumerate_cells",
     "expected_cell_count", "extract_radon", "gd_weight_decay", "grad_phi_sq",
     "implicit_lambda", "load_dataset_csv", "locate_cell", "lp_l1",
     "merge_cell_mass", "one_point_per_cell", "potential", "predict_measure",

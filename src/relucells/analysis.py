@@ -53,6 +53,7 @@ class SupportGroup:
     mass: float  # total signed Radon mass
     members: tuple  # original atom/neuron indices
     boundary: bool = False  # ray lies on a cell wall (+1 attribution)
+    wall_cells: tuple = ()  # boundary groups: the cells whose closure holds the ray
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,9 @@ def effective_support(
     Atoms with Radon mass at most tau_mass = TAU_MASS_REL of the total are
     dropped; survivors are located in the decomposition and single-linkage
     clustered at tau_angle within each cell. A group's representative is
-    the absolute-mass-weighted mean direction.
+    the absolute-mass-weighted mean direction. A group whose atoms all lie
+    on a wall is a boundary group; its wall_cells are the cells that agree
+    with its cell off the walls that all its atoms lie on.
     """
     dirs, z, members = _ray_table(obj)
     tau_mass = TAU_MASS_REL * float(np.sum(np.abs(z)))
@@ -116,14 +119,12 @@ def effective_support(
     members = [members[i] for i in keep]
 
     cells = np.zeros(len(z), dtype=int)
-    on_wall = np.zeros(len(z), dtype=bool)
-    boundary: list[int] = []
+    walls = np.zeros((len(z), decomp.n), dtype=bool)
     for i, v in enumerate(dirs):
-        ci, bflags = locate_cell(decomp, v)
-        cells[i] = ci
-        on_wall[i] = bool(np.any(bflags))
-        if on_wall[i]:
-            boundary.extend(members[i])
+        cells[i], walls[i] = locate_cell(decomp, v)
+    on_wall = walls.any(axis=1)
+    boundary = [m for i in np.flatnonzero(on_wall) for m in members[i]]
+    all_signs = np.array([c.signs for c in decomp.cells])
 
     groups = []
     for ci in sorted(set(cells.tolist())):
@@ -135,10 +136,15 @@ def effective_support(
             nrm = np.linalg.norm(rep)
             rep = rep / nrm if nrm > 0 else dirs[sel[0]]
             mem = tuple(sorted(m for i in sel for m in members[i]))
+            wall_cells = ()
+            if np.all(on_wall[sel]):
+                off = ~np.all(walls[sel], axis=0)
+                same = all_signs[:, off] == all_signs[ci, off]
+                wall_cells = tuple(np.flatnonzero(same.all(axis=1)).tolist())
             groups.append(
                 SupportGroup(
                     int(ci), rep, float(np.sum(z[sel])), mem,
-                    bool(np.all(on_wall[sel])),
+                    bool(wall_cells), wall_cells,
                 )
             )
     return EffectiveSupport(
@@ -217,37 +223,46 @@ def one_point_per_cell(support: EffectiveSupport) -> list[int]:
 def compare_supports(s1: EffectiveSupport, s2: EffectiveSupport) -> dict:
     """Match groups cell by cell; report angular deltas and asymmetries.
 
-    Both supports must come from the same decomposition. Cells populated
-    in only one support are listed as unmatched; within a shared cell,
-    groups pair greedily by smallest angle.
+    Both supports must come from the same decomposition. Within a cell that
+    both populate, groups pair greedily by smallest angle. The mass of a
+    wall ray in one support may sit on either side of the wall in the
+    other, so a group left over then matches the nearest group of the other
+    support in another cell when one of the two is a boundary group whose
+    wall_cells hold the other's cell; that group may already be matched.
+    Two non-boundary groups never match across cells. The cells of groups
+    still left over that the other support does not populate are listed as
+    unmatched; the other left-over groups count as extra.
     """
-    by_cell_1: dict[int, list[SupportGroup]] = {}
-    by_cell_2: dict[int, list[SupportGroup]] = {}
-    for g in s1.groups:
-        by_cell_1.setdefault(g.cell_index, []).append(g)
-    for g in s2.groups:
-        by_cell_2.setdefault(g.cell_index, []).append(g)
-
-    matched = []
-    unmatched_1 = sorted(set(by_cell_1) - set(by_cell_2))
-    unmatched_2 = sorted(set(by_cell_2) - set(by_cell_1))
-    extra = 0
-    for ci in sorted(set(by_cell_1) & set(by_cell_2)):
-        g1s = list(by_cell_1[ci])
-        g2s = list(by_cell_2[ci])
+    cells_1 = {g.cell_index for g in s1.groups}
+    cells_2 = {g.cell_index for g in s2.groups}
+    matched, left = [], []  # left: (group, the other support's groups, from s1)
+    for ci in sorted(cells_1 | cells_2):
+        g1s = [g for g in s1.groups if g.cell_index == ci]
+        g2s = [g for g in s2.groups if g.cell_index == ci]
         while g1s and g2s:
-            best = None
-            for i, g1 in enumerate(g1s):
-                for j, g2 in enumerate(g2s):
-                    ang = float(angle(g1.direction, g2.direction))
-                    if best is None or ang < best[0]:
-                        best = (ang, i, j)
-            ang, i, j = best
+            ang, i, j = min((float(angle(a.direction, b.direction)), i, j)
+                            for i, a in enumerate(g1s) for j, b in enumerate(g2s))
             matched.append({"cell": ci, "delta": ang,
-                            "mass_1": g1s[i].mass, "mass_2": g2s[j].mass})
-            g1s.pop(i)
-            g2s.pop(j)
-        extra += len(g1s) + len(g2s)
+                            "mass_1": g1s.pop(i).mass, "mass_2": g2s.pop(j).mass})
+        left += [(g, s2.groups, True) for g in g1s] + [(g, s1.groups, False) for g in g2s]
+
+    done: set[int] = set()  # ids of the left-over groups matched across a wall
+    for g, others, first in left:
+        near = [(float(angle(g.direction, h.direction)), j)
+                for j, h in enumerate(others)
+                if h.cell_index != g.cell_index
+                and (g.cell_index in h.wall_cells or h.cell_index in g.wall_cells)]
+        if id(g) in done or not near:
+            continue
+        ang, j = min(near)
+        g1, g2 = (g, others[j]) if first else (others[j], g)
+        matched.append({"cell": g.cell_index, "delta": ang,
+                        "mass_1": g1.mass, "mass_2": g2.mass})
+        done |= {id(g1), id(g2)}
+    rest = [(g.cell_index, first) for g, _, first in left if id(g) not in done]
+    unmatched_1 = sorted({ci for ci, first in rest if first} - cells_2)
+    unmatched_2 = sorted({ci for ci, first in rest if not first} - cells_1)
+    extra = sum(ci in (cells_2 if first else cells_1) for ci, first in rest)
     return {
         "matched": matched,
         "max_delta": max((m["delta"] for m in matched), default=0.0),

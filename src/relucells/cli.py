@@ -95,20 +95,19 @@ def _merge_config(args, parser: argparse.ArgumentParser) -> argparse.Namespace:
     return args
 
 
-def _load_support(path: str, dataset, decomp, tau_angle=None):
-    """Build an EffectiveSupport from a network JSON or a Radon CSV."""
+def _load_support(path: str, decomp):
+    """Build an EffectiveSupport from a network JSON, clustered at
+    TAU_ANGLE_TRAINED, or from a Radon CSV, clustered at TAU_ANGLE_SOLVER."""
     p = Path(path)
     if p.suffix == ".json":
         net = network_from_json(p.read_text())
-        tau = TAU_ANGLE_TRAINED if tau_angle is None else tau_angle
-        return effective_support(net, decomp, tau_angle=tau)
+        return effective_support(net, decomp, tau_angle=TAU_ANGLE_TRAINED)
     # solve writes a header-only file for a 0-atom measure
     header, *rows = p.read_text().splitlines()
     arr = (np.loadtxt(rows, delimiter=",", ndmin=2) if rows
            else np.zeros((0, header.count(",") + 1)))
     nu = RadonMeasure(arr[:, :-1], arr[:, -1])
-    tau = TAU_ANGLE_SOLVER if tau_angle is None else tau_angle
-    return effective_support(nu, decomp, tau_angle=tau)
+    return effective_support(nu, decomp, tau_angle=TAU_ANGLE_SOLVER)
 
 
 def _radon_to_csv(nu: RadonMeasure, path: Path) -> None:
@@ -233,10 +232,10 @@ def cmd_train(args) -> int:
 def cmd_analyze(args) -> int:
     ds = load_dataset_csv(args.dataset)
     dec = enumerate_cells(ds)
-    support = _load_support(args.input, ds, dec, args.tau_angle)
+    support = _load_support(args.input, dec)
     reference = None
     if args.reference:
-        reference = _load_support(args.reference, ds, dec)
+        reference = _load_support(args.reference, dec)
     report = sparsity_report(support, ds.n, reference)
     out = _outdir(args)
     (out / "sparsity.json").write_text(report.to_json())
@@ -251,8 +250,8 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     ds = load_dataset_csv(args.dataset)
     dec = enumerate_cells(ds)
-    s1 = _load_support(args.input_a, ds, dec, args.tau_angle)
-    s2 = _load_support(args.input_b, ds, dec, args.tau_angle)
+    s1 = _load_support(args.input_a, dec)
+    s2 = _load_support(args.input_b, dec)
     cmp = compare_supports(s1, s2)
     out = _outdir(args)
     (out / "comparison.json").write_text(json.dumps(cmp, indent=2))
@@ -332,14 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("input", help="network JSON or Radon CSV")
     p.add_argument("--reference", help="second artifact to compare against")
-    p.add_argument("--tau-angle", type=float, default=None)
     p.set_defaults(fn=cmd_analyze, parser=p)
 
     p = sub.add_parser("compare", help="compare two supports")
     common(p)
     p.add_argument("input_a", help="network JSON or Radon CSV")
     p.add_argument("input_b", help="network JSON or Radon CSV")
-    p.add_argument("--tau-angle", type=float, default=None)
     p.add_argument("--max-delta", type=float, default=None,
                    help="fail (exit 4) above this angular delta")
     p.set_defaults(fn=cmd_compare, parser=p)

@@ -32,8 +32,9 @@ the KKT system of that structure by Newton's method and keeps the point
 only when optimality_certificate proves it optimal to TOL_KKT; the solve
 then stops as "certified". A declined attempt leaves the loop as it
 was. Otherwise the loop stops as "converged" (residual and objective
-settled) or at "max_iters". Solution.iterations counts Douglas-Rachford
-iterations only.
+settled) or after MAX_ITERS iterations as "max_iters". Solution.iterations
+counts Douglas-Rachford iterations only. solve takes no settings: the loop
+starts from the origin (_initial) and its constants are module constants.
 
 Atom extraction reads one signed atom per live block and merges blocks on
 one ray (model.merge_identical_rays), such as a wall ray that two adjacent
@@ -66,6 +67,7 @@ ATOM_EPS_REL = 1e-6
 # TOL_FEAS, and the objective moved by at most TOL_OBJ (relative) over the
 # last OBJ_WINDOW iterations, looked at every CHECK_EVERY iterations.
 TOL_FEAS = 1e-7
+MAX_ITERS = 300_000  # Douglas-Rachford iterations before the stop "max_iters"
 TOL_OBJ = 1e-9
 OBJ_WINDOW = 100
 CHECK_EVERY = 10
@@ -74,13 +76,6 @@ RELAX = 0.85  # 0.5 is plain Douglas-Rachford
 # A finished point is kept when its KKT residual, its dual bound's excess
 # over 1 and its most negative normal-cone coefficient are within TOL_KKT.
 TOL_KKT = 1e-9
-
-
-@dataclass
-class SolverConfig:
-    max_iters: int = 300_000
-    init_scale: float = 0.0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -365,12 +360,9 @@ def _split(program: FiniteProgram, w: np.ndarray) -> np.ndarray:
     return w.reshape(program.n_blocks, program.k)
 
 
-def _initial(program: FiniteProgram, config: SolverConfig) -> np.ndarray:
-    dim = program.A.shape[1]
-    if config.init_scale <= 0.0:
-        return np.zeros(dim)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x501E]))
-    return config.init_scale * rng.standard_normal(dim)
+def _initial(program: FiniteProgram) -> np.ndarray:
+    """The starting point of z1, z2 and z3: the origin."""
+    return np.zeros(program.A.shape[1])
 
 
 def _objective_settled(obj_hist: list[float]) -> bool:
@@ -383,7 +375,7 @@ def _objective_settled(obj_hist: list[float]) -> bool:
     return abs(obj_hist[-1] - ref) <= TOL_OBJ * max(1.0, abs(ref))
 
 
-def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solution:
+def solve(program: FiniteProgram) -> Solution:
     """Solve the finite program by relaxed product-space Douglas-Rachford
     on the gauges g, the data term and the cone indicators, in both modes.
 
@@ -405,7 +397,6 @@ def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solutio
     with a fixed 3 x 6 matrix. The cone step calls project_cones through
     the module, once per iteration.
     """
-    config = config or SolverConfig()
     A, y, lam = program.A, program.y, program.lam
     n = program.dataset.n
     penalized = program.mode == "penalized"
@@ -425,7 +416,7 @@ def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solutio
     prox_g = _GaugeProx(program.gauges)
     B, k = program.n_blocks, program.k
     S = np.zeros((6, A.shape[1]))
-    S[:3] = _initial(program, config)
+    S[:3] = _initial(program)
     z1, z2, z3, x1, x2, x3 = S  # row views
     Z1, Z3, X1, X3 = (v.reshape(B, k) for v in (z1, z3, x1, x3))
     r = 2.0 * RELAX
@@ -440,7 +431,7 @@ def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solutio
     stop_reason = "max_iters"
     finished = last_face = None
     attempts = 0
-    while it < config.max_iters:
+    while it < MAX_ITERS:
         it += 1
         X1[:] = prox_g.prox(Z1)
         np.matmul(A, z2, out=fit_z2)
@@ -450,7 +441,7 @@ def solve(program: FiniteProgram, config: SolverConfig | None = None) -> Solutio
         np.matmul(C, S, out=Z)  # the relaxed product-space step
         S[:3] = Z
 
-        if it % CHECK_EVERY == 0 or it == config.max_iters:
+        if it % CHECK_EVERY == 0 or it == MAX_ITERS:
             obj, fit = _objective(program, prox_g, x3)
             if penalized:
                 res = float(np.linalg.norm(A @ (x3 - x2))) / (n * lam)
@@ -605,23 +596,17 @@ def _atom_eps(objective: float) -> float:
     return ATOM_EPS_REL * max(1.0, abs(objective))
 
 
-def _touched_walls(program: FiniteProgram, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The inward normals s_i n_i of every block's hyperplanes, (2K, n, k),
-    and which of them each block x touches: s_i <n_i, x> is zero to 1e-6
-    max(1, ||x||)."""
+def _structure(program: FiniteProgram, x: np.ndarray, objective: float):
+    """The live blocks of x (indices, see _live_blocks), the inward normals
+    s_i n_i of every block's hyperplanes, (2K, n, k), and which of them each
+    block x_b touches: s_i <n_i, x_b> is zero to 1e-6 max(1, ||x_b||)."""
+    W = _split(program, x)
+    live = np.flatnonzero(_live_blocks(program, W, _atom_eps(objective)))
     inward = program.signs[:, :, None] * program.normals
     touched = np.abs(np.einsum("bnk,bk->bn", inward, W)) <= 1e-6 * np.maximum(
         1.0, np.linalg.norm(W, axis=1)
     )[:, None]
-    return inward, touched
-
-
-def _structure(program: FiniteProgram, x: np.ndarray, objective: float):
-    """The live blocks of x (indices), the inward wall normals and which
-    walls each block touches (see _live_blocks and _touched_walls)."""
-    W = _split(program, x)
-    live = np.flatnonzero(_live_blocks(program, W, _atom_eps(objective)))
-    return (live, *_touched_walls(program, W))
+    return live, inward, touched
 
 
 def cone_price(program: FiniteProgram, blocks, q: np.ndarray) -> np.ndarray:
@@ -758,17 +743,15 @@ def optimality_certificate(program: FiniteProgram, solution: Solution) -> dict:
     explicit for the squared loss and only the coefficients are fit. The
     most negative coefficient is reported.
     """
-    atom_eps = _atom_eps(solution.objective)
     k = program.k
     n = program.dataset.n
     K = len(program.cells_used)
     W = np.vstack([solution.u, solution.v])
-
-    inward, touched = _touched_walls(program, W)
+    live, inward, touched = _structure(program, W.ravel(), solution.objective)
 
     # on live block b: grad g(x_b) = A_b^T mult + sum of beta nrm over the
     # inward normals nrm of its touched walls, with unknowns (mult, beta)
-    live = np.flatnonzero(_live_blocks(program, W, atom_eps)).tolist()
+    live = live.tolist()
     walls = [(r, nrm) for r, b in enumerate(live) for nrm in inward[b, touched[b]]]
     G = np.zeros((k * len(live), n + len(walls)))
     gvec = np.zeros(k * len(live))

@@ -613,11 +613,11 @@ def dr_reference(program):
     """The solver's relaxed Douglas-Rachford loop from 0 on three separate
     vectors z1, z2, z3, each step written out, with the gauge prox's Newton
     started cold at its lower bound in every call and the cone step as a
-    4-D matmul over (block, face), under the default SolverConfig. Returns
-    (iterations, objective).
+    4-D matmul over (block, face), for at most the solver's MAX_ITERS
+    iterations. Returns (iterations, objective).
     """
     from relucells.solver import (
-        CHECK_EVERY, RELAX, STEP, TOL_FEAS, SolverConfig, _objective_settled,
+        CHECK_EVERY, MAX_ITERS, RELAX, STEP, TOL_FEAS, _objective_settled,
         cone_faces,
     )
 
@@ -686,11 +686,10 @@ def dr_reference(program):
         return out
 
     z1, z2, z3 = (np.zeros(A.shape[1]) for _ in range(3))
-    max_iters = SolverConfig().max_iters
     r = 2.0 * RELAX
     yscale = 1.0 + float(np.linalg.norm(y))
     obj_hist, best = [], None
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         x1 = prox(z1.reshape(B, k)).ravel()
         x2 = z2 - M @ (A @ z2 - y)
         x3 = project(z3.reshape(B, k)).ravel()
@@ -698,7 +697,7 @@ def dr_reference(program):
         z1 += r * (m - x1)
         z2 += r * (m - x2)
         z3 += r * (m - x3)
-        if it % CHECK_EVERY == 0 or it == max_iters:
+        if it % CHECK_EVERY == 0 or it == MAX_ITERS:
             reg = gauge(x3.reshape(B, k))
             fit = A @ x3 - y
             if penalized:
@@ -712,4 +711,4 @@ def dr_reference(program):
                 best = (res, obj)
             if res < TOL_FEAS and _objective_settled(obj_hist):
                 return it, obj
-    return max_iters, best[1]
+    return MAX_ITERS, best[1]

@@ -13,8 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_generic_dataset
+from conftest import random_generic_dataset, seeded_start
 from oracles import exhaustive_support_objective
+from relucells import solver
 from relucells.analysis import (
     compare_supports,
     effective_support,
@@ -24,7 +25,6 @@ from relucells.arrangement import enumerate_cells
 from relucells.potentials import PotentialKind, at_bulk
 from relucells.solver import (
     LPInstance,
-    SolverConfig,
     build_program,
     extract_radon,
     lp_l1,
@@ -103,9 +103,12 @@ def solver_probe_runs():
         for flag in ("tv", "label-noise"):
             kind = PotentialKind.from_flag(flag, ds)
             prog = build_program(ds, dec, kind)
-            sol1 = solve(prog, SolverConfig(max_iters=120_000))
-            sol2 = solve(prog, SolverConfig(max_iters=120_000,
-                                            init_scale=1.0, seed=7))
+            # the fixture is module-scoped, so it cannot take monkeypatch
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "MAX_ITERS", 120_000)
+                sol1 = solve(prog)
+                mp.setattr(solver, "_initial", seeded_start(7))
+                sol2 = solve(prog)
             oracle = exhaustive_support_objective(ds.points, ds.targets, flag)
             per_kind[flag] = (prog, sol1, sol2, oracle)
         runs.append((ds, dec, per_kind))

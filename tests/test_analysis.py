@@ -248,6 +248,27 @@ def test_compare_supports_extra_groups_in_shared_cell():
     assert rep["extra_groups"] == 1
 
 
+def test_compare_supports_matches_a_wall_ray_on_both_sides(dec3):
+    # criterion 07's data: the optimum holds the mass of a wall ray, which
+    # locate_cell puts in one cell, where a trained network holds it in
+    # groups 2e-4 rad to either side of the wall
+    wall = np.arctan2(-0.2, 1.0)  # the ray (1, -0.2) is on the wall of x = 0.2
+    trained = RadonMeasure(np.array([unit(wall + 2e-4), unit(wall - 2e-4), unit(1.37)]),
+                           np.array([0.6, 0.5, -0.2]))
+    optimum = RadonMeasure(np.array([unit(wall), unit(1.37)]), np.array([1.1, -0.2]))
+    s1 = effective_support(trained, dec3, tau_angle=5e-2)
+    s2 = effective_support(optimum, dec3)
+    assert len(s1.cells()) == 3 and len(s2.cells()) == 2
+    assert [g.wall_cells for g in s2.groups] == [(1, 2), ()]
+    assert [g.cell_index for g in s1.groups] == [1, 2, 5]
+    for a, b in [(s1, s2), (s2, s1)]:
+        rep = compare_supports(a, b)
+        assert rep["unmatched_cells_1"] == rep["unmatched_cells_2"] == []
+        assert rep["extra_groups"] == 0
+        assert sorted(m["cell"] for m in rep["matched"]) == [1, 2, 5]
+        assert rep["max_delta"] == pytest.approx(2e-4, rel=1e-6)
+
+
 def test_representer_check_inputs():
     supp = EffectiveSupport((SupportGroup(0, unit(0.0), 1.0, (0,)),),
                             0.0, 1e-6, ())

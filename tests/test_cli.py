@@ -5,6 +5,7 @@ import pytest
 
 from oracles import bland_stack_reference
 from relucells import _simplex
+from relucells.analysis import TAU_ANGLE_SOLVER, TAU_ANGLE_TRAINED
 from relucells.arrangement import enumerate_cells
 from relucells.cli import build_parser, main
 from relucells.model import Dataset, save_dataset_csv
@@ -100,6 +101,7 @@ def test_train_and_analyze_roundtrip(tmp_path, ds_csv):
                "--out", str(out2)])
     sparsity = json.loads((out2 / "sparsity.json").read_text())
     assert sparsity["support_count"] >= 1
+    assert sparsity["tau_angle"] == TAU_ANGLE_TRAINED  # a network's angle
     assert (rc == 0) == (sparsity["violations"] == [])
     assert (out2 / "groups.csv").exists()
 
@@ -234,7 +236,9 @@ def test_zero_atom_measure_roundtrip(tmp_path):
     assert radon.read_text().strip() == "dir0,dir1,mass"
     out = tmp_path / "a"
     assert main(["analyze", str(path), str(radon), "--out", str(out)]) == 0
-    assert json.loads((out / "sparsity.json").read_text())["support_count"] == 0
+    sparsity = json.loads((out / "sparsity.json").read_text())
+    assert sparsity["support_count"] == 0
+    assert sparsity["tau_angle"] == TAU_ANGLE_SOLVER  # a measure's angle
     out = tmp_path / "c"
     assert main(["compare", str(path), str(radon), str(radon),
                  "--out", str(out)]) == 0

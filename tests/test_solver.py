@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_generic_dataset
+from conftest import random_generic_dataset, seeded_start
 from oracles import (
     bisect_secular_root,
     cone_price_grid,
@@ -25,7 +25,6 @@ from relucells.solver import (
     _GaugeProx,
     _live_blocks,
     _secular_root,
-    SolverConfig,
     build_program,
     cone_faces,
     cone_price,
@@ -295,11 +294,15 @@ def test_plane_label_noise_multipliers_reach_the_objective():
 
 
 def test_two_inits_same_objective(ds2):
-    dec = enumerate_cells(ds2)
-    prog = build_program(ds2, dec, PotentialKind.tv())
-    sol1 = solve(prog, SolverConfig())
-    sol2 = solve(prog, SolverConfig(init_scale=1.0, seed=99))
-    assert sol1.objective == pytest.approx(sol2.objective, rel=1e-6)
+    cases = [(ds2, "tv")] + [(Dataset(*PLANE[seed]), flag) for seed in (1, 5)
+                             for flag in ("tv", "label-noise")]
+    for ds, flag in cases:
+        prog = build_program(ds, enumerate_cells(ds), PotentialKind.from_flag(flag, ds))
+        sol1 = solve(prog)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_initial", seeded_start(99))
+            sol2 = solve(prog)
+        assert sol1.objective == pytest.approx(sol2.objective, rel=1e-6)
 
 
 def test_lp_l1_reproduces_solver_objective(ds3, dec3):
@@ -473,7 +476,7 @@ def test_penalized_certificate_fits_touched_walls(ds3, dec3, lam):
     _certified(prog, sol)
 
 
-def test_penalized_small_lambda_converges():
+def test_penalized_small_lambda_converges(monkeypatch):
     # d = 1, n = 5: a splitting with a gradient data step took over 300 000
     # iterations here at lam = 1e-3
     ds = Dataset(
@@ -485,7 +488,8 @@ def test_penalized_small_lambda_converges():
     )
     prog = build_program(ds, enumerate_cells(ds), PotentialKind.tv(),
                          mode="penalized", lam=1e-3)
-    sol = solve(prog, SolverConfig(max_iters=30_000))
+    monkeypatch.setattr(solver, "MAX_ITERS", 30_000)
+    sol = solve(prog)
     assert sol.converged
     _certified(prog, sol)
 
@@ -542,12 +546,13 @@ def test_solution_reports_why_it_stopped(monkeypatch, ds3, dec3, dr_only):
         return rho, n_steps
 
     monkeypatch.setattr("relucells.solver._secular_root", counted)
+    budgets = [(solver.MAX_ITERS, "converged"), (25, "max_iters")]
     for kind in (PotentialKind.tv(), PotentialKind.label_noise(ds3)):
         prog = build_program(ds3, dec3, kind)
-        for config, reason in [(SolverConfig(), "converged"),
-                               (SolverConfig(max_iters=25), "max_iters")]:
+        for max_iters, reason in budgets:
+            monkeypatch.setattr(solver, "MAX_ITERS", max_iters)
             steps.clear()
-            sol = solve(prog, config)
+            sol = solve(prog)
             assert sol.converged == (reason == "converged")
             assert sol.diagnostics["stop_reason"] == reason
             # every secular step of the solve, none for the TV soft threshold
